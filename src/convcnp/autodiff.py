@@ -251,134 +251,124 @@ def gaussian_log_pdf(y, mu: Node, sigma: Node) -> Node:
     return Node(value, (mu, sigma), vjp, op="gaussian_log_pdf")
 
 
-def _pad1d(x, pad, mode):
+def _pad(x, pad, mode, op):
+    """Pad every spatial axis (all but the first) by ``pad`` on both sides."""
+    if mode not in ("zeros", "circular"):
+        raise DiffError(f"op '{op}': unknown padding mode '{mode}'")
     if pad == 0:
         return x
-    if mode == "zeros":
-        return np.pad(x, ((0, 0), (pad, pad)))
-    if mode == "circular":
-        return np.pad(x, ((0, 0), (pad, pad)), mode="wrap")
-    raise DiffError(f"conv1d: unknown padding mode '{mode}'")
+    widths = ((0, 0),) + ((pad, pad),) * (x.ndim - 1)
+    return np.pad(x, widths, mode="constant" if mode == "zeros" else "wrap")
 
 
-def conv1d(x: Node, w: Node, bias: Node | None = None, padding: str = "zeros") -> Node:
-    """Cross-correlation, stride 1, symmetric padding of (k-1)/2.
+def _unpad(dxp, pad, mode):
+    """Adjoint of :func:`_pad`: drop the border, or wrap it back if circular.
 
-    ``x`` has shape (C_in, T), ``w`` has shape (C_out, C_in, k) with odd k.
-    Output shape is (C_out, T): spatial extent is preserved.
+    Folding one axis at a time also carries the corner blocks of a
+    circularly padded 2-D input back to the opposite corners.
+    """
+    if pad == 0:
+        return dxp
+    for axis in range(1, dxp.ndim):
+        n = dxp.shape[axis] - 2 * pad
+        lo, dxp, hi = np.split(dxp, [pad, pad + n], axis=axis)
+        if mode == "circular":
+            dxp = dxp.copy()
+            head, _, tail = np.split(dxp, [pad, n - pad], axis=axis)
+            tail += lo
+            head += hi
+    return dxp
+
+
+def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
+    """Grouped cross-correlation of any spatial rank as im2col plus matmul.
+
+    ``x`` is (C_in, *S) and ``w`` is (C_out, C_in / groups, k, ..., k) with
+    odd k; stride 1 and (k - 1) / 2 padding keep the spatial shape S.  The
+    window matrix of the padded input, (groups, C_in / groups * k^d, |S|),
+    meets the weights in one batched matmul.  The backward pass rebuilds it
+    from the padded input rather than keeping it on the tape.
+    """
+    c_in, *spatial = x.value.shape
+    c_out, c_in_g, k = w.value.shape[:3]
+    if k % 2 == 0:
+        raise DiffError(f"op '{op}': kernel size {k} must be odd")
+    if groups < 1 or c_out % groups or c_in_g * groups != c_in:
+        raise DiffError(
+            f"op '{op}': groups={groups} does not fit input {x.value.shape} and "
+            f"weight {w.value.shape} (need C_in = groups * w.shape[1] and "
+            "groups dividing C_out)"
+        )
+    nd = len(spatial)
+    pad = (k - 1) // 2
+    xp = _pad(x.value, pad, padding, op)
+    taps = (k,) * nd
+    # window-first order: rows (channel, tap), columns the output positions
+    order = (0,) + tuple(range(nd + 1, 2 * nd + 1)) + tuple(range(1, nd + 1))
+    col_shape = (groups, c_in_g * k**nd, int(np.prod(spatial)))
+
+    def im2col():
+        windows = np.lib.stride_tricks.sliding_window_view(
+            xp, taps, axis=tuple(range(1, nd + 1))
+        )
+        return windows.transpose(order).reshape(col_shape)
+
+    wm = w.value.reshape(groups, c_out // groups, -1)
+    out = np.matmul(wm, im2col()).reshape(c_out, *spatial)
+    parents = [x, w]
+    if bias is not None:
+        if bias.value.shape != (c_out,):
+            raise DiffError(f"op '{op}': bias shape {bias.value.shape} != ({c_out},)")
+        out = out + bias.value.reshape((c_out,) + (1,) * nd)
+        parents.append(bias)
+
+    def vjp(g):
+        gm = g.reshape(groups, c_out // groups, -1)
+        dw = np.matmul(gm, im2col().transpose(0, 2, 1)).reshape(w.value.shape)
+        dcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(c_in, *taps, *spatial)
+        dxp = np.zeros_like(xp)
+        for tap in np.ndindex(*taps):
+            window = tuple(slice(t, t + n) for t, n in zip(tap, spatial))
+            dxp[(slice(None),) + window] += dcols[(slice(None),) + tap]
+        grads = [_unpad(dxp, pad, padding), dw]
+        if bias is not None:
+            grads.append(g.sum(axis=tuple(range(1, nd + 1))))
+        return tuple(grads)
+
+    return Node(out, parents, vjp, op=op)
+
+
+def conv1d(
+    x: Node, w: Node, bias: Node | None = None, padding: str = "zeros", groups: int = 1
+) -> Node:
+    """Cross-correlation, stride 1, symmetric zero or circular padding of (k-1)/2.
+
+    ``x`` is (C_in, T) and ``w`` is (C_out, C_in / groups, k) with odd k;
+    ``bias`` is (C_out,).  Output channel o sees only the input channels of
+    its group, o // (C_out / groups).  Output shape is (C_out, T).
     """
     if x.value.ndim != 2 or w.value.ndim != 3:
         raise DiffError(
-            f"op 'conv1d': expected (C_in, T) and (C_out, C_in, k), got "
+            f"op 'conv1d': expected (C_in, T) and (C_out, C_in / groups, k), got "
             f"{x.value.shape} and {w.value.shape}"
         )
-    c_in, t = x.value.shape
-    c_out, c_in_w, k = w.value.shape
-    if c_in != c_in_w or k % 2 == 0:
+    return _conv(x, w, bias, padding, groups, "conv1d")
+
+
+def conv2d(
+    x: Node, w: Node, bias: Node | None = None, padding: str = "zeros", groups: int = 1
+) -> Node:
+    """Cross-correlation over (C_in, H, W) with square odd kernels, stride 1.
+
+    ``w`` is (C_out, C_in / groups, k, k) and ``bias`` is (C_out,); groups
+    work as in :func:`conv1d`.  Output shape is (C_out, H, W).
+    """
+    if x.value.ndim != 3 or w.value.ndim != 4 or w.value.shape[2] != w.value.shape[3]:
         raise DiffError(
-            f"op 'conv1d': incompatible shapes {x.value.shape} and {w.value.shape} "
-            "(channel mismatch or even kernel)"
+            f"op 'conv2d': expected (C_in, H, W) and (C_out, C_in / groups, k, k), "
+            f"got {x.value.shape} and {w.value.shape}"
         )
-    pad = (k - 1) // 2
-    xp = _pad1d(x.value, pad, padding)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-    out = np.einsum("oik,itk->ot", w.value, windows)
-    parents = [x, w]
-    if bias is not None:
-        if bias.value.shape != (c_out,):
-            raise DiffError(
-                f"op 'conv1d': bias shape {bias.value.shape} != ({c_out},)"
-            )
-        out = out + bias.value[:, None]
-        parents.append(bias)
-
-    def vjp(g):
-        dw = np.einsum("ot,itk->oik", g, windows)
-        dxp = np.zeros_like(xp)
-        for j in range(k):
-            dxp[:, j : j + t] += np.einsum("ot,oi->it", g, w.value[:, :, j])
-        if pad == 0:
-            dx = dxp
-        elif padding == "zeros":
-            dx = dxp[:, pad:-pad]
-        else:  # circular: wrap the pad contributions back around
-            dx = dxp[:, pad:-pad].copy()
-            dx[:, -pad:] += dxp[:, :pad]
-            dx[:, :pad] += dxp[:, -pad:]
-        grads = [dx, dw]
-        if bias is not None:
-            grads.append(g.sum(axis=1))
-        return tuple(grads)
-
-    return Node(out, parents, vjp, op="conv1d")
-
-
-def _pad2d(x, pad, mode):
-    if pad == 0:
-        return x
-    widths = ((0, 0), (pad, pad), (pad, pad))
-    if mode == "zeros":
-        return np.pad(x, widths)
-    if mode == "circular":
-        return np.pad(x, widths, mode="wrap")
-    raise DiffError(f"conv2d: unknown padding mode '{mode}'")
-
-
-def conv2d(x: Node, w: Node, bias: Node | None = None, padding: str = "zeros") -> Node:
-    """Cross-correlation over (C_in, H, W) with square odd kernels, stride 1."""
-    if x.value.ndim != 3 or w.value.ndim != 4:
-        raise DiffError(
-            f"op 'conv2d': expected (C_in, H, W) and (C_out, C_in, k, k), got "
-            f"{x.value.shape} and {w.value.shape}"
-        )
-    c_in, h, width = x.value.shape
-    c_out, c_in_w, k, k2 = w.value.shape
-    if c_in != c_in_w or k != k2 or k % 2 == 0:
-        raise DiffError(
-            f"op 'conv2d': incompatible shapes {x.value.shape} and {w.value.shape}"
-        )
-    pad = (k - 1) // 2
-    xp = _pad2d(x.value, pad, padding)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    out = np.einsum("oiuv,ihwuv->ohw", w.value, windows)
-    parents = [x, w]
-    if bias is not None:
-        if bias.value.shape != (c_out,):
-            raise DiffError(
-                f"op 'conv2d': bias shape {bias.value.shape} != ({c_out},)"
-            )
-        out = out + bias.value[:, None, None]
-        parents.append(bias)
-
-    def vjp(g):
-        dw = np.einsum("ohw,ihwuv->oiuv", g, windows)
-        dxp = np.zeros_like(xp)
-        for u in range(k):
-            for v in range(k):
-                dxp[:, u : u + h, v : v + width] += np.einsum(
-                    "ohw,oi->ihw", g, w.value[:, :, u, v]
-                )
-        if pad == 0:
-            dx = dxp
-        elif padding == "zeros":
-            dx = dxp[:, pad:-pad, pad:-pad]
-        else:
-            dx = dxp[:, pad:-pad, pad:-pad].copy()
-            dx[:, -pad:, :] += dxp[:, :pad, pad:-pad]
-            dx[:, :pad, :] += dxp[:, -pad:, pad:-pad]
-            dx[:, :, -pad:] += dxp[:, pad:-pad, :pad]
-            dx[:, :, :pad] += dxp[:, pad:-pad, -pad:]
-            # corners wrap both axes
-            dx[:, -pad:, -pad:] += dxp[:, :pad, :pad]
-            dx[:, -pad:, :pad] += dxp[:, :pad, -pad:]
-            dx[:, :pad, -pad:] += dxp[:, -pad:, :pad]
-            dx[:, :pad, :pad] += dxp[:, -pad:, -pad:]
-        grads = [dx, dw]
-        if bias is not None:
-            grads.append(g.sum(axis=(1, 2)))
-        return tuple(grads)
-
-    return Node(out, parents, vjp, op="conv2d")
+    return _conv(x, w, bias, padding, groups, "conv2d")
 
 
 def backward(loss: Node) -> None:

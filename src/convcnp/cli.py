@@ -266,8 +266,8 @@ def cmd_extrapolate(config: ExperimentConfig, seed: int, out: Path, checkpoint, 
 def cmd_dump(config: ExperimentConfig, seed: int, out: Path, checkpoint):
     model = _load_model(config, checkpoint)
     task = sample_task(config.process, derive_seed(seed, 4, 0))
-    lo, hi = config.process.x_range
-    xs = np.linspace(lo, hi, 200)
+    inputs = np.concatenate([task.context_x, task.target_x])
+    xs = np.linspace(inputs.min(), inputs.max(), 200)
     probe = Task(
         context_x=task.context_x,
         context_y=task.context_y,
@@ -276,18 +276,20 @@ def cmd_dump(config: ExperimentConfig, seed: int, out: Path, checkpoint):
         process=task.process,
     )
     pred = model.forward(probe)
-    rows = [
-        ("prediction", float(x), float(mu[0]), float(sd[0]))
-        for x, mu, sd in zip(xs, pred.mean, pred.std)
-    ]
-    rows += [
-        ("context", float(x), float(y[0]), "")
-        for x, y in zip(task.context_x, task.context_y)
-    ]
+    rows = []
+    for c in range(task.dim_y):
+        rows += [
+            ("prediction", c, float(x), float(mu[c]), float(sd[c]))
+            for x, mu, sd in zip(xs, pred.mean, pred.std)
+        ]
+        rows += [
+            ("context", c, float(x), float(y[c]), "")
+            for x, y in zip(task.context_x, task.context_y)
+        ]
     _write_csv(
         out / "predictive_dump.csv",
         _provenance(config, seed),
-        ("kind", "x", "mu_or_y", "sigma"),
+        ("kind", "channel", "x", "mu_or_y", "sigma"),
         rows,
     )
     print(f"dumped predictive curve to {out / 'predictive_dump.csv'}")

@@ -96,12 +96,7 @@ def _apply_conv(x, weight, bias, padding):
 
 def _apply_separable(x, dw, pw, bias, padding):
     conv = ad.conv1d if dw.value.ndim == 3 else ad.conv2d
-    c_in = x.value.shape[0]
-    parts = [
-        conv(ad.narrow(x, 0, c, 1), ad.narrow(dw, 0, c, 1), padding=padding)
-        for c in range(c_in)
-    ]
-    depthwise = ad.concat(parts, axis=0)
+    depthwise = conv(x, dw, padding=padding, groups=x.value.shape[0])
     return conv(depthwise, pw, bias, padding=padding)
 
 
@@ -394,19 +389,21 @@ class ConvCNPOnGrid:
         if context_mask.shape != image.shape[1:]:
             raise ValueError("context mask must match the spatial shape of the data")
         conv = ad.conv1d if self.ndim == 1 else ad.conv2d
-        smoothing = ad.absolute(leaves["encoder.weight"])
-        density = conv(
-            ad.constant(context_mask[None]), smoothing, padding=self.padding
+        # one depthwise conv smooths the mask and every masked channel with
+        # the same kernel
+        stacked = np.concatenate([context_mask[None], context_mask[None] * image])
+        kernel = leaves["encoder.weight"]
+        smoothing = ad.broadcast_to(
+            ad.absolute(kernel), (len(stacked),) + kernel.value.shape[1:]
         )
-        masked = context_mask[None] * image
-        smoothed = ad.concat(
-            [
-                conv(ad.constant(masked[c : c + 1]), smoothing, padding=self.padding)
-                for c in range(self.channels)
-            ],
-            axis=0,
+        smoothed = conv(
+            ad.constant(stacked), smoothing, padding=self.padding, groups=len(stacked)
         )
-        signal = ad.div(smoothed, ad.add(density, ad.constant(np.asarray(self.eps))))
+        density = ad.narrow(smoothed, 0, 0, 1)
+        signal = ad.div(
+            ad.narrow(smoothed, 0, 1, self.channels),
+            ad.add(density, ad.constant(np.asarray(self.eps))),
+        )
         return ad.concat([density, signal], axis=0)
 
     def forward(self, image, context_mask, target_mask, leaves=None) -> GridPredictive:

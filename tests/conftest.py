@@ -14,8 +14,19 @@ def _store_with(arrays):
 PRIMITIVE_OPS = [
     "add", "sub", "mul", "div", "matmul", "conv1d", "conv2d", "relu",
     "softplus", "exp", "log", "powi", "abs", "sum", "mean", "concat",
-    "broadcast", "gaussian_log_pdf",
+    "broadcast", "gaussian_log_pdf", "conv1d-circular", "conv2d-circular",
+    "conv1d-depthwise", "conv2d-depthwise",
 ]
+
+# name -> (conv, x shape, w shape, padding, groups)
+_CONV_CASES = {
+    "conv1d": (ad.conv1d, (2, 7), (3, 2, 5), "zeros", 1),
+    "conv2d": (ad.conv2d, (2, 5, 6), (2, 2, 3, 3), "zeros", 1),
+    "conv1d-circular": (ad.conv1d, (2, 7), (3, 2, 5), "circular", 1),
+    "conv2d-circular": (ad.conv2d, (2, 5, 6), (2, 2, 5, 5), "circular", 1),
+    "conv1d-depthwise": (ad.conv1d, (3, 7), (3, 1, 3), "zeros", 3),
+    "conv2d-depthwise": (ad.conv2d, (2, 5, 6), (4, 1, 3, 3), "circular", 2),
+}
 
 
 def primitive_grad_error(op: str, seed: int, step: float = 1e-5) -> float:
@@ -37,15 +48,13 @@ def primitive_grad_error(op: str, seed: int, step: float = 1e-5) -> float:
     elif op == "matmul":
         store = _store_with({"a": smooth((3, 4)), "b": smooth((4, 2))})
         builder = lambda lv: ad.reduce_sum(ad.matmul(lv["a"], lv["b"]))
-    elif op == "conv1d":
-        store = _store_with({"x": smooth((2, 7)), "w": smooth((3, 2, 5)), "b": smooth(3)})
-        builder = lambda lv: ad.reduce_sum(
-            ad.powi(ad.conv1d(lv["x"], lv["w"], lv["b"]), 2)
+    elif op in _CONV_CASES:
+        conv, x_shape, w_shape, padding, groups = _CONV_CASES[op]
+        store = _store_with(
+            {"x": smooth(x_shape), "w": smooth(w_shape), "b": smooth(w_shape[0])}
         )
-    elif op == "conv2d":
-        store = _store_with({"x": smooth((2, 5, 6)), "w": smooth((2, 2, 3, 3)), "b": smooth(2)})
         builder = lambda lv: ad.reduce_sum(
-            ad.powi(ad.conv2d(lv["x"], lv["w"], lv["b"]), 2)
+            ad.powi(conv(lv["x"], lv["w"], lv["b"], padding=padding, groups=groups), 2)
         )
     elif op in ("relu", "softplus", "exp", "abs"):
         store = _store_with({"x": smooth((3, 4))})

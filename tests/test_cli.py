@@ -226,9 +226,28 @@ class TestOtherCommands:
         out = tmp_path / "dump"
         assert main(["dump", "--config", str(config), "--out", str(out)]) == 0
         _, columns, rows = read_csv(out / "predictive_dump.csv")
+        assert columns == ["kind", "channel", "x", "mu_or_y", "sigma"]
         kinds = {row[0] for row in rows}
         assert kinds == {"prediction", "context"}
         assert sum(r[0] == "prediction" for r in rows) == 200
+
+    def test_dump_csv_lotka_volterra_writes_both_channels(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            process={"kind": "lotka-volterra", "n_context": [3, 6], "n_target": [3, 6]},
+        )
+        out = tmp_path / "dump"
+        assert main(["dump", "--config", str(config), "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "predictive_dump.csv")
+        preds = [r for r in rows if r[0] == "prediction"]
+        contexts = [r for r in rows if r[0] == "context"]
+        assert len(preds) == 2 * 200
+        assert {r[1] for r in preds} == {"0", "1"}
+        n_context = sum(r[1] == "0" for r in contexts)
+        assert n_context >= 3 and sum(r[1] == "1" for r in contexts) == n_context
+        xs = [float(r[2]) for r in preds]
+        assert 0.0 <= min(xs) < max(xs) <= 100.0
+        assert max(xs) > 2.0  # probes the task's own span, not (-2, 2)
 
     def test_gradcheck_passes(self, tmp_path, capsys):
         config = write_config(tmp_path)

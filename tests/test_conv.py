@@ -1,0 +1,100 @@
+"""The grouped im2col convolution against the einsum reference, and its errors."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from convcnp import autodiff as ad
+from reference_conv import reference_conv
+
+SHAPES = {1: (3, 11), 2: (3, 7, 9)}  # non-square 2-D input
+
+
+def _tape_conv(x, w, bias, padding, groups, g):
+    """Value and gradients of one conv through the tape, seeded with ``g``."""
+    leaves = [ad.constant(a) for a in (x, w, bias) if a is not None]
+    conv = ad.conv1d if x.ndim == 2 else ad.conv2d
+    out = conv(*leaves, padding=padding, groups=groups)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    return out.value, tuple(leaf.grad for leaf in leaves)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("padding", ["zeros", "circular"])
+@pytest.mark.parametrize("groups", ["one", "depthwise"])
+def test_matches_reference(ndim, k, padding, groups):
+    rng = np.random.default_rng(100 * ndim + 10 * k + len(padding) + len(groups))
+    x = rng.normal(size=SHAPES[ndim])
+    c_in = x.shape[0]
+    n_groups = 1 if groups == "one" else c_in
+    c_out = 4 if groups == "one" else 2 * c_in  # depthwise with multiplier 2
+    w = rng.normal(size=(c_out, c_in // n_groups) + (k,) * ndim)
+    for bias in (None, rng.normal(size=c_out)):
+        ref_out, ref_vjp = reference_conv(x, w, bias, padding, n_groups)
+        g = rng.normal(size=ref_out.shape)
+        out, grads = _tape_conv(x, w, bias, padding, n_groups, g)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        for got, want in zip(grads, ref_vjp(g), strict=True):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, groups",
+    [
+        ((3, 8), (4, 1, 3), 2),  # groups does not divide C_in
+        ((4, 8), (3, 2, 3), 2),  # groups does not divide C_out
+        ((4, 8), (4, 1, 3), 2),  # w.shape[1] * groups != C_in
+        ((4, 6, 6), (4, 4, 3, 3), 2),
+        ((4, 8), (4, 4, 3), 0),
+    ],
+)
+def test_bad_groups_rejected(x_shape, w_shape, groups):
+    conv = ad.conv1d if len(x_shape) == 2 else ad.conv2d
+    with pytest.raises(ad.DiffError, match="groups"):
+        conv(ad.constant(np.ones(x_shape)), ad.constant(np.ones(w_shape)), groups=groups)
+
+
+def test_even_kernel_and_unknown_padding_rejected():
+    x = ad.constant(np.ones((2, 8)))
+    with pytest.raises(ad.DiffError, match="odd"):
+        ad.conv1d(x, ad.constant(np.ones((2, 2, 4))))
+    with pytest.raises(ad.DiffError, match="padding"):
+        ad.conv1d(x, ad.constant(np.ones((2, 2, 3))), padding="reflect")
+
+
+_XL_STEP = """
+import sys
+import numpy as np
+from convcnp import autodiff as ad
+from convcnp.models import CnnSpec, ConvCNP, nll_loss
+from convcnp.synthdata import ProcessSpec, sample_task
+
+model = ConvCNP(gamma=32.0, cnn=CnnSpec.xl(), init_seed=5)
+task = sample_task(ProcessSpec("sawtooth"), 11)
+leaves = model.params.leaves()
+pred = model.forward(task, leaves=leaves)
+ad.backward(nll_loss(pred, task.target_y))
+arrays = [pred.mean, pred.std] + [leaves[name].grad for name in model.params.names()]
+sys.stdout.buffer.write(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+"""
+
+
+def test_two_blas_threads_give_identical_xl_steps():
+    """An XL forward and backward on two OpenBLAS threads is bit-reproducible."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _XL_STEP], env=env, capture_output=True, check=True
+        ).stdout
+        for _ in range(2)
+    ]
+    assert len(runs[0]) > 8 * 400_000  # predictions plus every gradient
+    assert runs[0] == runs[1]
