@@ -77,8 +77,6 @@ class WeaklyPeriodic:
         return np.exp(-0.5 * f1**2 - 0.5 * f2**2) * np.exp(-0.125 * d**2)
 
 
-KernelSpec = EQ | Matern52 | WeaklyPeriodic
-
 DATA_KERNELS = {
     "eq": EQ(length_scale=0.25),
     "matern": Matern52(input_scale=4.0),

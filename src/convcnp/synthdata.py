@@ -7,7 +7,8 @@ bit-for-bit across platforms and runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -122,12 +123,23 @@ class LVTrajectory:
 
 
 LV_RATES = (0.01, 0.5, 1.0, 0.01)
+_FIRST_BLOCK, _MAX_BLOCK = 32, 4096  # uniforms per rng.random() call
 
 
 def lv_total_rate(theta, x: int, y: int) -> float:
-    """Total event rate theta1*X*Y + theta2*X + theta3*Y + theta4*X*Y."""
+    """Total event rate t1*X*Y + t2*X + t3*Y + t4*X*Y, summed as in ``gillespie_lv``."""
     t1, t2, t3, t4 = theta
-    return t1 * x * y + t2 * x + t3 * y + t4 * x * y
+    xy = x * y
+    return t1 * xy + t2 * x + t3 * y + t4 * xy
+
+
+def _uniform_pairs(rng):
+    """Blocks of (-log u, v) for consecutive uniforms u, v; the blocks double in size."""
+    size = _FIRST_BLOCK
+    while True:
+        block = rng.random(size)
+        yield zip((-np.log(block[0::2])).tolist(), block[1::2].tolist())
+        size = min(2 * size, _MAX_BLOCK)
 
 
 def gillespie_lv(
@@ -143,7 +155,9 @@ def gillespie_lv(
 
     Events: predator birth (rate theta1*X*Y, X+1), predator death
     (theta2*X, X-1), prey birth (theta3*Y, Y+1), prey death (theta4*X*Y,
-    Y-1).  Stops at max_time, max_events, or total rate zero.
+    Y-1).  Stops at max_time, max_events, or total rate zero.  Uniforms are
+    drawn in blocks, and ``rng`` is left where one scalar ``rng.random()``
+    per uniform used would have left it.
     """
     theta = np.asarray(theta, float)
     if np.any(theta < 0) or np.all(theta == 0):
@@ -152,20 +166,23 @@ def gillespie_lv(
         raise ValueError("initial populations must be non-negative")
     if rng is None:
         rng = make_rng(seed)
+    state = rng.bit_generator.state
     t, x, y = 0.0, int(x0), int(y0)
     times, xs, ys = [t], [x], [y]
-    t1, t2, t3, t4 = theta
-    while len(times) - 1 < max_events:
+    t1, t2, t3, t4 = theta.tolist()
+    timed_out = 0
+    for neg_log_u, v in chain.from_iterable(_uniform_pairs(rng)):
         xy = x * y
         r1, r2, r3 = t1 * xy, t2 * x, t3 * y
         total = r1 + r2 + r3 + t4 * xy
-        if total <= 0.0:
+        if len(times) > max_events or total <= 0.0:
             break
-        dt = -np.log(rng.random()) / total
-        if t + dt > max_time:
+        t_next = t + neg_log_u / total
+        if t_next > max_time:
+            timed_out = 1
             break
-        t += dt
-        u = rng.random() * total
+        t = t_next
+        u = v * total
         if u < r1:
             x += 1
         elif u < r1 + r2:
@@ -177,6 +194,9 @@ def gillespie_lv(
         times.append(t)
         xs.append(x)
         ys.append(y)
+    # Two uniforms per event and one for an exit at max_time.
+    rng.bit_generator.state = state
+    rng.random(2 * (len(times) - 1) + timed_out)
     return LVTrajectory(
         times=np.asarray(times), predators=np.asarray(xs), prey=np.asarray(ys)
     )
@@ -196,8 +216,11 @@ def lv_to_task(trajectory: LVTrajectory, seed=None, rng=None) -> Task:
     """Subsample a predator-prey trajectory into a two-channel task.
 
     Filters: duration > 100 time units, > 10000 events, either population
-    identically zero, or fewer points than one task needs.  Populations are
-    scaled by 2/7.  Context size n ~ U{3..80}; target size is 150 - n.
+    identically zero, or fewer points than one task needs.  ``sample_task``'s
+    paths stop before time 100, so in practice only the event cap rejects
+    them; the duration filter guards trajectories built elsewhere.
+    Populations are scaled by 2/7.  Context size n ~ U{3..80}; target size
+    is 150 - n.
     Observation points are drawn uniformly without replacement from the
     event grid.
     """
@@ -256,7 +279,8 @@ def sample_task(process: ProcessSpec, seed: int, stats: dict | None = None) -> T
     """Draw one task: locations, a shared realization, and a disjoint split.
 
     ``stats``, if given, accumulates counters ("lv_accepted",
-    "lv_rejected") so callers can report rejection rates.
+    "lv_rejected") so callers can report rejection rates.  LV paths stop
+    before time 100, so the duration filter never rejects them.
     """
     if process.kind == "lotka-volterra":
         # LV has its own protocol with rejection; retry with derived seeds.
@@ -293,7 +317,3 @@ def sample_task(process: ProcessSpec, seed: int, stats: dict | None = None) -> T
         process=process.kind,
         seed=seed,
     )
-
-
-def sample_tasks(process: ProcessSpec, seeds) -> list[Task]:
-    return [sample_task(process, int(s)) for s in seeds]

@@ -20,12 +20,14 @@ from convcnp.kernels import DATA_KERNELS, EQ, gram
 from convcnp.models import CNPBaseline, CnnSpec, ConvCNP, ConvCNPOnGrid, nll_loss
 from convcnp.oracle import gp_oracle_ll
 from convcnp.synthdata import (
+    LV_RATES,
     ProcessSpec,
     Task,
     gillespie_lv,
     gp_sample,
     lv_to_task,
     lv_total_rate,
+    make_rng,
     RejectedTrajectory,
     LVTrajectory,
     sample_task,
@@ -260,6 +262,15 @@ class TestCriterion8Gillespie:
         total = lv_total_rate((0.01, 0.5, 1.0, 0.01), 50, 100)
         report("criterion 8a", f"R(50,100) = {total}")
         assert total == pytest.approx(225.0)
+
+    def test_first_event_time_uses_total_rate(self):
+        # The simulator's first holding time is -log(u) / R(x0, y0) to the
+        # bit, so the rate checked above is the rate the simulator uses.
+        for k, (x0, y0) in enumerate([(50, 100), (1, 0), (0, 7), (7, 17), (9, 9), (250, 13)]):
+            tr = gillespie_lv(x0=x0, y0=y0, max_events=1, max_time=np.inf, rng=make_rng(k))
+            u = make_rng(k).random()
+            assert tr.times[1] == -np.log(u) / lv_total_rate(LV_RATES, x0, y0)
+        report("criterion 8a", "first event times equal -log(u)/R(x0,y0) exactly")
 
     def test_pure_death_mean(self):
         theta2, t_probe = 0.5, 2.0

@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from reference_gillespie import reference_gillespie_lv
 
 from convcnp.kernels import DATA_KERNELS, EQ, gram
 from convcnp.synthdata import (
+    _MAX_BLOCK,
+    LV_RATES,
     LVTrajectory,
     ProcessSpec,
     RejectedTrajectory,
@@ -132,6 +137,90 @@ class TestGillespie:
             gillespie_lv(theta=(0, 0, 0, 0))
         with pytest.raises(ValueError):
             gillespie_lv(x0=-1)
+
+
+def _run_both(make_generator, **kwargs):
+    """Run the simulator and the scalar reference on identically seeded generators."""
+    ref_rng, new_rng = make_generator(), make_generator()
+    ref = reference_gillespie_lv(rng=ref_rng, **kwargs)
+    new = gillespie_lv(rng=new_rng, **kwargs)
+    for name in ("times", "predators", "prey"):
+        a, b = getattr(ref, name), getattr(new, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    # The generator must be left where the scalar loop leaves it.
+    np.testing.assert_array_equal(ref_rng.random(3), new_rng.random(3))
+    assert ref_rng.integers(0, 2**62) == new_rng.integers(0, 2**62)
+    return new
+
+
+class TestGillespieMatchesReference:
+    @pytest.mark.parametrize(
+        "make_generator", [make_rng, np.random.default_rng], ids=["philox", "pcg64"]
+    )
+    def test_default_paths(self, make_generator):
+        for k in range(32):
+            _run_both(lambda: make_generator(k))
+
+    @pytest.mark.parametrize(
+        "kwargs, n_events",
+        [
+            (dict(x0=0, y0=0), 0),
+            (dict(theta=(0.0, 0.5, 0.0, 0.0), x0=5, y0=0, max_time=np.inf), 5),
+            (dict(max_events=0), 0),
+            (dict(max_events=1), 1),
+            (dict(max_time=0.05), None),
+        ],
+        ids=["extinct-start", "extinct-mid-run", "no-events", "one-event", "time-cutoff"],
+    )
+    def test_exits(self, kwargs, n_events):
+        for k in range(5):
+            tr = _run_both(lambda: make_rng(7, k), **kwargs)
+            if n_events is not None:
+                assert tr.n_events == n_events
+            else:
+                assert 0 < tr.n_events and tr.times[-1] <= 0.05
+
+    def test_path_longer_than_largest_block(self):
+        tr = _run_both(lambda: make_rng(8), max_time=np.inf, max_events=3 * _MAX_BLOCK)
+        # The doubling blocks hold 2 * _MAX_BLOCK - 32 uniforms, so this path
+        # also draws at least one refill of the largest size.
+        assert 2 * tr.n_events > 3 * _MAX_BLOCK
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(theta=(0, 0, 0, 0)),
+            dict(theta=(0.01, -0.5, 1.0, 0.01)),
+            dict(theta=(0.01, 0.5, 1.0)),
+            dict(x0=-1),
+            dict(y0=-3),
+        ],
+        ids=["all-zero", "negative", "three-rates", "x0", "y0"],
+    )
+    def test_invalid_arguments(self, kwargs):
+        with pytest.raises(Exception) as ref_error:
+            reference_gillespie_lv(seed=0, **kwargs)
+        with pytest.raises(ref_error.type):
+            gillespie_lv(seed=0, **kwargs)
+
+
+# SHA-256 over the shapes and bytes of the four arrays of the Lotka-Volterra
+# tasks for seeds 0-19, and the rejection counts over the same seeds.
+LV_TASKS_SHA256 = "58eb5ce1874ba4ab8dd4ad09ce87eead90a257807d4b9600628db1ed0ac7973f"
+LV_TASKS_STATS = {"lv_accepted": 20, "lv_rejected": 15}
+
+
+def test_lv_tasks_golden_digest():
+    spec = ProcessSpec.default_for("lotka-volterra")
+    digest, stats = hashlib.sha256(), {}
+    for seed in range(20):
+        task = sample_task(spec, seed, stats)
+        for a in (task.context_x, task.context_y, task.target_x, task.target_y):
+            digest.update(str(a.shape).encode())
+            digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert stats == LV_TASKS_STATS
+    assert digest.hexdigest() == LV_TASKS_SHA256
 
 
 def _ok_trajectory(n=200, duration=50.0):
