@@ -10,7 +10,7 @@ finite-difference checks are reliable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -230,6 +230,14 @@ def broadcast_to(x: Node, shape) -> Node:
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def gaussian_ll(y, mu, sigma) -> np.ndarray:
+    """Elementwise log N(y; mu, sigma^2) on plain arrays (broadcasting)."""
+    if np.any(np.asarray(sigma) <= 0):
+        raise DiffError("gaussian log density: sigma must be positive")
+    z = (np.asarray(y, float) - mu) / sigma
+    return -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * z**2
+
+
 def gaussian_log_pdf(y, mu: Node, sigma: Node) -> Node:
     """Elementwise log N(y; mu, sigma^2) with observations ``y`` held fixed."""
     y = np.asarray(y, dtype=np.float64)
@@ -238,12 +246,10 @@ def gaussian_log_pdf(y, mu: Node, sigma: Node) -> Node:
             f"op 'gaussian_log_pdf': shapes y={y.shape}, mu={mu.value.shape}, "
             f"sigma={sigma.value.shape} must match"
         )
-    if np.any(sigma.value <= 0):
-        raise DiffError("op 'gaussian_log_pdf': sigma must be positive")
-    z = (y - mu.value) / sigma.value
-    value = -0.5 * _LOG_2PI - np.log(sigma.value) - 0.5 * z**2
+    value = gaussian_ll(y, mu.value, sigma.value)
 
     def vjp(g):
+        z = (y - mu.value) / sigma.value
         dmu = g * z / sigma.value
         dsigma = g * (z**2 - 1.0) / sigma.value
         return (dmu, dsigma)
@@ -455,10 +461,6 @@ class ParameterStore:
         """Add leaf gradients from a finished backward pass into the store."""
         for name, node in leaves.items():
             self._params[name].grad += node.grad
-
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}

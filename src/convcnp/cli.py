@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +21,15 @@ from . import __version__
 from . import autodiff as ad
 from .kernels import DATA_KERNELS
 from .models import CNPBaseline, CnnSpec, ConvCNP, nll_loss
-from .oracle import gp_oracle_ll, gp_task_ll
+from .oracle import gp_oracle_ll
 from .synthdata import ProcessSpec, Task, sample_task
 from .training import TrainConfig, derive_seed, evaluate, train
 
 MODEL_VARIANTS = ("convcnp-small", "convcnp-xl", "cnp")
 
-_PROCESS_KEYS = {"kind", "x_range", "n_context", "n_target"}
+_PROCESS_KEYS = {f.name for f in fields(ProcessSpec)}
 _MODEL_KEYS = {"variant", "gamma", "sigma_floor", "init_seed", "margin"}
-_TRAIN_KEYS = {
-    "epochs", "batches_per_epoch", "batch_size", "lr", "weight_decay",
-    "seed", "early_stop_patience", "n_val_tasks",
-}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
 _EVAL_KEYS = {"n_tasks", "shift"}
 _TOP_KEYS = {"process", "model", "train", "eval", "out_dir"}
 
@@ -73,12 +70,8 @@ class ExperimentConfig:
         proc = dict(raw.get("process", {}))
         _check_keys(proc, _PROCESS_KEYS, "process")
         kind = proc.pop("kind", "eq")
-        defaults = ProcessSpec.default_for(kind)
-        process = ProcessSpec(
-            kind=kind,
-            x_range=tuple(proc.get("x_range", defaults.x_range)),
-            n_context=tuple(proc.get("n_context", defaults.n_context)),
-            n_target=tuple(proc.get("n_target", defaults.n_target)),
+        process = replace(
+            ProcessSpec.default_for(kind), **{k: tuple(v) for k, v in proc.items()}
         )
         model = dict(raw.get("model", {}))
         _check_keys(model, _MODEL_KEYS, "model")
@@ -88,6 +81,8 @@ class ExperimentConfig:
                 f"unknown model variant '{variant}', expected one of {MODEL_VARIANTS}"
             )
         tr = dict(raw.get("train", {}))
+        if "seed" in tr:
+            raise ConfigError("train.seed is not accepted; pass --seed instead")
         _check_keys(tr, _TRAIN_KEYS, "train")
         ev = dict(raw.get("eval", {}))
         _check_keys(ev, _EVAL_KEYS, "eval")
@@ -156,7 +151,8 @@ EVAL_COLUMNS = (
 )
 
 
-def cmd_generate(config: ExperimentConfig, seed: int, out: Path, n_tasks: int):
+def cmd_generate(config: ExperimentConfig, args):
+    seed, out, n_tasks = args.seed, args.out, args.tasks or config.n_eval_tasks
     out.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
     tasks = []
@@ -180,11 +176,13 @@ def cmd_generate(config: ExperimentConfig, seed: int, out: Path, n_tasks: int):
     print(f"wrote {n_tasks} tasks to {out}")
 
 
-def cmd_train(config: ExperimentConfig, seed: int, out: Path):
+def cmd_train(config: ExperimentConfig, args):
+    seed, out = args.seed, args.out
     out.mkdir(parents=True, exist_ok=True)
     model = config.build_model()
-    train_cfg = TrainConfig(**{**config.train.__dict__, "seed": seed})
-    log, best_state, last_state = train(model, train_cfg, config.process)
+    log, best_state, last_state = train(
+        model, replace(config.train, seed=seed), config.process
+    )
     _write_csv(
         out / "train_log.csv",
         _provenance(config, seed),
@@ -207,13 +205,12 @@ def _load_model(config: ExperimentConfig, checkpoint):
     return model
 
 
-def cmd_evaluate(config: ExperimentConfig, seed: int, out: Path, checkpoint, n_tasks):
-    model = _load_model(config, checkpoint)
-    tasks = _eval_tasks(config, seed, n_tasks)
-    summary = evaluate(model, tasks)
+def cmd_evaluate(config: ExperimentConfig, args):
+    model = _load_model(config, args.checkpoint)
+    summary = evaluate(model, _eval_tasks(config, args.seed, args.tasks))
     _write_csv(
-        out / "eval.csv",
-        _provenance(config, seed),
+        args.out / "eval.csv",
+        _provenance(config, args.seed),
         EVAL_COLUMNS,
         [(
             config.model_variant, config.process.kind, summary.n_tasks,
@@ -224,29 +221,28 @@ def cmd_evaluate(config: ExperimentConfig, seed: int, out: Path, checkpoint, n_t
     print(f"eval: mean LL {summary.mean_ll:.4f} +- {summary.stderr_ll:.4f}")
 
 
-def cmd_oracle(config: ExperimentConfig, seed: int, out: Path, n_tasks):
+def cmd_oracle(config: ExperimentConfig, args):
     if config.process.kind not in DATA_KERNELS:
         raise ConfigError(
             f"oracle requires a GP process, got '{config.process.kind}'"
         )
-    kernel = DATA_KERNELS[config.process.kind]
-    tasks = _eval_tasks(config, seed, n_tasks)
-    lls = np.array([gp_task_ll(kernel, t) for t in tasks])
-    stderr = float(lls.std(ddof=1) / np.sqrt(len(lls))) if len(lls) > 1 else 0.0
+    tasks = _eval_tasks(config, args.seed, args.tasks)
+    mean_ll, stderr = gp_oracle_ll(DATA_KERNELS[config.process.kind], tasks)
     _write_csv(
-        out / "oracle.csv",
-        _provenance(config, seed),
+        args.out / "oracle.csv",
+        _provenance(config, args.seed),
         EVAL_COLUMNS,
         [(
             "gp-oracle", config.process.kind, len(tasks),
-            float(lls.mean()), stderr, 0.0, 0.0, "in-range",
+            mean_ll, stderr, 0.0, 0.0, "in-range",
         )],
     )
-    print(f"oracle: mean LL {lls.mean():.4f} +- {stderr:.4f}")
+    print(f"oracle: mean LL {mean_ll:.4f} +- {stderr:.4f}")
 
 
-def cmd_extrapolate(config: ExperimentConfig, seed: int, out: Path, checkpoint, shift):
-    model = _load_model(config, checkpoint)
+def cmd_extrapolate(config: ExperimentConfig, args):
+    seed, out, shift = args.seed, args.out, args.shift
+    model = _load_model(config, args.checkpoint)
     tasks = _eval_tasks(config, seed)
     in_range = evaluate(model, tasks)
     shifted = evaluate(model, [t.translated(shift) for t in tasks])
@@ -263,8 +259,9 @@ def cmd_extrapolate(config: ExperimentConfig, seed: int, out: Path, checkpoint, 
     print(f"extrapolate: delta LL {delta:+.4f} nats/point at shift {shift}")
 
 
-def cmd_dump(config: ExperimentConfig, seed: int, out: Path, checkpoint):
-    model = _load_model(config, checkpoint)
+def cmd_dump(config: ExperimentConfig, args):
+    seed, out = args.seed, args.out
+    model = _load_model(config, args.checkpoint)
     task = sample_task(config.process, derive_seed(seed, 4, 0))
     inputs = np.concatenate([task.context_x, task.target_x])
     xs = np.linspace(inputs.min(), inputs.max(), 200)
@@ -295,7 +292,8 @@ def cmd_dump(config: ExperimentConfig, seed: int, out: Path, checkpoint):
     print(f"dumped predictive curve to {out / 'predictive_dump.csv'}")
 
 
-def cmd_gradcheck(config: ExperimentConfig, seed: int):
+def cmd_gradcheck(config: ExperimentConfig, args):
+    seed = args.seed
     model = ConvCNP(gamma=8.0, cnn=CnnSpec(channels=(4, 2)), init_seed=seed)
     # keep pre-activations off the ReLU kink: in grid regions far from the
     # context the conv inputs vanish, so a zero bias would put the finite
@@ -315,12 +313,14 @@ def cmd_gradcheck(config: ExperimentConfig, seed: int):
         raise RuntimeError(f"gradient check failed: {err:.3e} > 1e-4")
 
 
-def cmd_equivariance_audit(config: ExperimentConfig, seed: int, out: Path, shift):
+def cmd_equivariance_audit(config: ExperimentConfig, args):
+    seed, out, shift = args.seed, args.out, args.shift
     rows = []
     task = sample_task(config.process, derive_seed(seed, 5, 0))
     for gamma in (16.0, 32.0, 64.0):
         model = ConvCNP(
-            gamma=gamma, sigma_floor=config.sigma_floor, init_seed=config.init_seed
+            dim_y=task.dim_y, gamma=gamma, sigma_floor=config.sigma_floor,
+            init_seed=config.init_seed,
         )
         base = model.forward(task)
         exact_shift = round(shift * gamma) / gamma
@@ -344,6 +344,18 @@ def cmd_equivariance_audit(config: ExperimentConfig, seed: int, out: Path, shift
     print(f"equivariance audit written to {out / 'equivariance.csv'}")
 
 
+COMMANDS = {
+    "generate-data": cmd_generate,
+    "train": cmd_train,
+    "evaluate": cmd_evaluate,
+    "oracle": cmd_oracle,
+    "extrapolate": cmd_extrapolate,
+    "dump": cmd_dump,
+    "gradcheck": cmd_gradcheck,
+    "equivariance-audit": cmd_equivariance_audit,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convcnp",
@@ -351,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "against exact GP oracles on synthetic data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "generate-data", "train", "evaluate", "oracle", "extrapolate", "dump",
-        "gradcheck", "equivariance-audit",
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON file")
         p.add_argument("--seed", type=int, default=0)
@@ -369,24 +378,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
-        out = Path(args.out) if args.out else Path(config.out_dir)
-        shift = args.shift if args.shift is not None else config.shift
-        if args.command == "generate-data":
-            cmd_generate(config, args.seed, out, args.tasks or config.n_eval_tasks)
-        elif args.command == "train":
-            cmd_train(config, args.seed, out)
-        elif args.command == "evaluate":
-            cmd_evaluate(config, args.seed, out, args.checkpoint, args.tasks)
-        elif args.command == "oracle":
-            cmd_oracle(config, args.seed, out, args.tasks)
-        elif args.command == "extrapolate":
-            cmd_extrapolate(config, args.seed, out, args.checkpoint, shift)
-        elif args.command == "dump":
-            cmd_dump(config, args.seed, out, args.checkpoint)
-        elif args.command == "gradcheck":
-            cmd_gradcheck(config, args.seed)
-        elif args.command == "equivariance-audit":
-            cmd_equivariance_audit(config, args.seed, out, shift)
+        args.out = Path(args.out or config.out_dir)
+        if args.shift is None:
+            args.shift = config.shift
+        COMMANDS[args.command](config, args)
     except (ConfigError, FileNotFoundError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

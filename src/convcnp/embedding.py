@@ -121,16 +121,23 @@ def embed(
     return FunctionalEmbedding(grid=grid, channels=channels)
 
 
+def divide_by_density(channels: ad.Node, eps: float = DENSITY_EPS) -> ad.Node:
+    """Divide channels 1.. by (channel 0 + eps); channel 0, the density, is kept.
+
+    ``channels`` is channels-first, (C, ...) over any grid shape.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    density = ad.narrow(channels, 0, 0, 1)
+    signal = ad.narrow(channels, 0, 1, channels.value.shape[0] - 1)
+    normalized = ad.div(signal, ad.add(density, ad.constant(np.asarray(eps))))
+    return ad.concat([density, normalized], axis=0)
+
+
 def normalize_density(
     emb: FunctionalEmbedding, eps: float = DENSITY_EPS
 ) -> FunctionalEmbedding:
     """Divide signal channels by (density + eps); density itself is kept."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n_channels = emb.channels.value.shape[0]
-    density = ad.narrow(emb.channels, 0, 0, 1)
-    signal = ad.narrow(emb.channels, 0, 1, n_channels - 1)
-    normalized = ad.div(signal, ad.add(density, ad.constant(np.asarray(eps))))
     return FunctionalEmbedding(
-        grid=emb.grid, channels=ad.concat([density, normalized], axis=0)
+        grid=emb.grid, channels=divide_by_density(emb.channels, eps)
     )

@@ -7,17 +7,25 @@ backward pass trains any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .embedding import DENSITY_EPS, embed, make_grid, normalize_density
+from .embedding import DENSITY_EPS, divide_by_density, embed, make_grid, normalize_density
 from .kernels import init_log_length_scale, learnable_psi_eval
 from .synthdata import Task, make_rng
 
 SIGMA_MIN = 0.1
 SIGMA_FLOOR_WEIGHT = 0.1  # sigma_post = 0.1 * sigma_min + 0.9 * raw
+
+
+def _floor_sigma(sigma: ad.Node) -> ad.Node:
+    """Mix the raw deviation with SIGMA_MIN so it stays above 0.1 * SIGMA_MIN."""
+    return ad.add(
+        ad.constant(np.asarray(SIGMA_FLOOR_WEIGHT * SIGMA_MIN)),
+        ad.mul(ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)), sigma),
+    )
 
 
 @dataclass(frozen=True)
@@ -138,26 +146,37 @@ class PredictiveDistribution:
         return self.sigma.value.T.copy()
 
 
-def nll_loss(pred: PredictiveDistribution, target_y) -> ad.Node:
-    """Negative mean Gaussian log density of the targets under ``pred``."""
+def _target_rows(pred: PredictiveDistribution, target_y) -> np.ndarray:
+    """(M,) or (M, dim_y) targets in the (dim_y, M) layout of ``pred``."""
     target_y = np.asarray(target_y, float)
     if target_y.ndim == 1:
         target_y = target_y[:, None]
+    if target_y.T.shape != pred.mu.value.shape:
+        raise ad.DiffError(
+            f"targets {target_y.shape} do not fit predictions {pred.mu.value.shape}"
+        )
+    return target_y.T
+
+
+def nll_loss(pred: PredictiveDistribution, target_y) -> ad.Node:
+    """Negative mean Gaussian log density of the targets under ``pred``."""
+    target_y = _target_rows(pred, target_y)
     if target_y.size == 0:
         raise ad.DiffError("nll_loss: empty target set")
-    lp = ad.gaussian_log_pdf(target_y.T, pred.mu, pred.sigma)
+    lp = ad.gaussian_log_pdf(target_y, pred.mu, pred.sigma)
     return ad.mul(ad.reduce_mean(lp), ad.constant(np.asarray(-1.0)))
 
 
 def log_likelihood_per_point(pred: PredictiveDistribution, target_y) -> float:
-    """Mean Gaussian log density per target point (not a graph node)."""
-    target_y = np.asarray(target_y, float)
-    if target_y.ndim == 1:
-        target_y = target_y[:, None]
-    lp = ad.gaussian_log_pdf(
-        target_y.T, ad.constant(pred.mu.value), ad.constant(pred.sigma.value)
-    )
-    return float(lp.value.mean())
+    """Mean Gaussian log density per target point, from the predicted arrays.
+
+    Raises DiffError where ``nll_loss`` does: on targets that do not fit
+    ``pred``, a non-positive sigma or a log density that is not finite.
+    """
+    lp = ad.gaussian_ll(_target_rows(pred, target_y), pred.mu.value, pred.sigma.value)
+    if not np.all(np.isfinite(lp)):
+        raise ad.DiffError("log_likelihood_per_point: non-finite log density")
+    return float(lp.mean())
 
 
 class ConvCNP:
@@ -219,10 +238,7 @@ class ConvCNP:
         mu = ad.matmul(f_mu, basis)
         sigma = ad.matmul(ad.softplus(f_sigma), basis)
         if self.sigma_floor:
-            sigma = ad.add(
-                ad.constant(np.asarray(SIGMA_FLOOR_WEIGHT * SIGMA_MIN)),
-                ad.mul(ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)), sigma),
-            )
+            sigma = _floor_sigma(sigma)
         return PredictiveDistribution(mu=mu, sigma=sigma)
 
 
@@ -290,14 +306,7 @@ class CNPBaseline:
         dec_in = ad.concat([ad.constant(tgt_x[None, :]), tiled], axis=0)
         out = self._mlp("dec", dec_in, leaves)
         mu = ad.narrow(out, 0, 0, self.dim_y)
-        sigma_pre = ad.narrow(out, 0, self.dim_y, self.dim_y)
-        sigma = ad.add(
-            ad.constant(np.asarray(SIGMA_FLOOR_WEIGHT * SIGMA_MIN)),
-            ad.mul(
-                ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)),
-                ad.softplus(sigma_pre),
-            ),
-        )
+        sigma = _floor_sigma(ad.softplus(ad.narrow(out, 0, self.dim_y, self.dim_y)))
         return PredictiveDistribution(mu=mu, sigma=sigma)
 
 
@@ -352,13 +361,7 @@ class ConvCNPOnGrid:
         self.ndim = ndim
         self.padding = padding
         self.eps = eps
-        base = cnn or CnnSpec(channels=(16, 32, 16))
-        self.cnn = CnnSpec(
-            channels=base.channels,
-            kernel_size=base.kernel_size,
-            skips=base.skips,
-            separable=separable,
-        )
+        self.cnn = replace(cnn or CnnSpec(channels=(16, 32, 16)), separable=separable)
 
         self.params = ad.ParameterStore()
         rng = make_rng(init_seed, 0xC2)
@@ -399,12 +402,7 @@ class ConvCNPOnGrid:
         smoothed = conv(
             ad.constant(stacked), smoothing, padding=self.padding, groups=len(stacked)
         )
-        density = ad.narrow(smoothed, 0, 0, 1)
-        signal = ad.div(
-            ad.narrow(smoothed, 0, 1, self.channels),
-            ad.add(density, ad.constant(np.asarray(self.eps))),
-        )
-        return ad.concat([density, signal], axis=0)
+        return divide_by_density(smoothed, self.eps)
 
     def forward(self, image, context_mask, target_mask, leaves=None) -> GridPredictive:
         if leaves is None:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
+from .autodiff import gaussian_ll
 from .kernels import cholesky_with_jitter, gram
 
 VARIANCE_CLAMP = 1e-12
@@ -58,14 +59,6 @@ def gp_posterior_predict(kernel, context_x, context_y, xs, noise_variance=0.0):
     return GPPosterior.fit(kernel, context_x, context_y, noise_variance).predict(xs)
 
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def gaussian_ll(y, mean, std) -> np.ndarray:
-    z = (np.asarray(y, float) - mean) / std
-    return -0.5 * _LOG_2PI - np.log(std) - 0.5 * z**2
-
-
 def gp_task_ll(kernel, task) -> float:
     """Mean log density of a task's targets under the exact posterior."""
     mean, std = gp_posterior_predict(
@@ -74,8 +67,12 @@ def gp_task_ll(kernel, task) -> float:
     return float(gaussian_ll(task.target_y[:, 0], mean, std).mean())
 
 
+def standard_error(a) -> float:
+    """Standard error of the mean of array ``a`` (0 for fewer than two values)."""
+    return float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
+
+
 def gp_oracle_ll(kernel, tasks):
     """Mean per-task target log density plus its standard error over tasks."""
     lls = np.array([gp_task_ll(kernel, t) for t in tasks])
-    stderr = lls.std(ddof=1) / np.sqrt(len(lls)) if len(lls) > 1 else 0.0
-    return float(lls.mean()), float(stderr)
+    return float(lls.mean()), standard_error(lls)

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .models import log_likelihood_per_point, nll_loss
+from .oracle import standard_error
 from .synthdata import ProcessSpec, sample_task
 
 
@@ -94,16 +95,12 @@ def evaluate(model, tasks) -> EvalSummary:
         mses.append(float(np.mean((pred.mean - task.target_y) ** 2)))
     lls = np.asarray(lls)
     mses = np.asarray(mses)
-
-    def stderr(a):
-        return float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
-
     return EvalSummary(
         n_tasks=len(tasks),
         mean_ll=float(lls.mean()),
-        stderr_ll=stderr(lls),
+        stderr_ll=standard_error(lls),
         mse=float(mses.mean()),
-        stderr_mse=stderr(mses),
+        stderr_mse=standard_error(mses),
         per_task_ll=lls,
         per_task_mse=mses,
     )

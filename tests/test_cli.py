@@ -10,7 +10,11 @@ from convcnp.cli import (
     ExperimentConfig,
     main,
 )
+from convcnp.kernels import DATA_KERNELS
 from convcnp.models import CNPBaseline, ConvCNP
+from convcnp.oracle import gp_oracle_ll
+from convcnp.synthdata import sample_task
+from convcnp.training import derive_seed
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -69,6 +73,11 @@ class TestConfig:
     def test_unknown_section_key_rejected(self, tmp_path):
         path = write_config(tmp_path, model={"variant": "convcnp-small", "depth": 9})
         with pytest.raises(ConfigError, match="depth"):
+            ExperimentConfig.from_file(path)
+
+    def test_train_seed_rejected(self, tmp_path):
+        path = write_config(tmp_path, train={"seed": 7})
+        with pytest.raises(ConfigError, match="--seed"):
             ExperimentConfig.from_file(path)
 
     def test_unknown_variant_rejected(self, tmp_path):
@@ -195,6 +204,19 @@ class TestOracle:
         # conditioning on noiseless context must beat the N(0, 1) prior
         assert float(rows[0][3]) > -1.42
 
+    def test_oracle_csv_is_gp_oracle_ll(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "oracle"
+        assert main([
+            "oracle", "--config", str(config), "--out", str(out), "--tasks", "5",
+            "--seed", "4",
+        ]) == 0
+        _, _, rows = read_csv(out / "oracle.csv")
+        process = ExperimentConfig.from_file(config).process
+        tasks = [sample_task(process, derive_seed(4, 3, i)) for i in range(5)]
+        expected = gp_oracle_ll(DATA_KERNELS["eq"], tasks)
+        assert (float(rows[0][3]), float(rows[0][4])) == expected
+
     def test_oracle_rejects_non_gp_process(self, tmp_path, capsys):
         config = write_config(tmp_path, process={"kind": "sawtooth"})
         code = main([
@@ -267,6 +289,17 @@ class TestOtherCommands:
             assert float(row[2]) < 1e-10  # grid-aligned shift is exact
         offgrid = [float(r[3]) for r in rows]
         assert offgrid[0] > offgrid[-1]  # denser grids track better
+
+    def test_equivariance_audit_lotka_volterra(self, tmp_path):
+        config = write_config(tmp_path, process={"kind": "lotka-volterra"})
+        out = tmp_path / "eq"
+        assert main([
+            "equivariance-audit", "--config", str(config), "--out", str(out),
+        ]) == 0
+        _, _, rows = read_csv(out / "equivariance.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row[2]) < 1e-10
 
     def test_bad_config_path(self, tmp_path, capsys):
         code = main([

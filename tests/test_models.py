@@ -203,7 +203,24 @@ class TestNLL:
         task = tiny_task(11, n_ctx=4, n_tgt=5)
         pred = model.forward(task)
         ll = log_likelihood_per_point(pred, task.target_y)
-        assert ll == pytest.approx(-float(nll_loss(pred, task.target_y).value))
+        assert ll == -float(nll_loss(pred, task.target_y).value)
+
+    def test_log_likelihood_per_point_rejects_what_nll_rejects(self):
+        from convcnp.models import PredictiveDistribution
+
+        def pred(mu, sigma):
+            return PredictiveDistribution(ad.constant(mu), ad.constant(sigma))
+
+        ones = np.ones((1, 3))
+        cases = [
+            (pred(0 * ones, 0 * ones), np.ones(3)),  # non-positive sigma
+            (pred(0 * ones, 1e-200 * ones), np.ones(3)),  # density overflows
+            (pred(0 * ones, ones), np.ones((3, 2))),  # targets do not fit
+        ]
+        for p, y in cases:
+            for loss in (log_likelihood_per_point, nll_loss):
+                with np.errstate(over="ignore"), pytest.raises(ad.DiffError):
+                    loss(p, y)
 
 
 class TestCNPBaseline:
