@@ -10,8 +10,8 @@ a training loop (:mod:`convcnp.training`), an exact GP posterior oracle
 
 __version__ = "0.1.0"
 
-from .embedding import FunctionalEmbedding, UniformGrid, embed, make_grid, normalize_density
-from .kernels import EQ, Matern52, WeaklyPeriodic, gram, kernel_eval
+from .embedding import UniformGrid, divide_by_density, embed, make_grid
+from .kernels import EQ, Matern52, WeaklyPeriodic, gram
 from .models import (
     CNPBaseline,
     CnnSpec,
@@ -20,6 +20,6 @@ from .models import (
     PredictiveDistribution,
     nll_loss,
 )
-from .oracle import GPPosterior, gp_oracle_ll, gp_posterior_predict
+from .oracle import gp_oracle_ll, gp_posterior_predict
 from .synthdata import ProcessSpec, Task, gillespie_lv, gp_sample, sample_task, sawtooth_sample
 from .training import TrainConfig, evaluate, train

@@ -79,16 +79,6 @@ def add(a: Node, b: Node) -> Node:
     )
 
 
-def sub(a: Node, b: Node) -> Node:
-    _check_same_shape("sub", a, b)
-    return Node(
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.value.shape), -_unbroadcast(g, b.value.shape)),
-        op="sub",
-    )
-
-
 def mul(a: Node, b: Node) -> Node:
     _check_same_shape("mul", a, b)
     return Node(
@@ -143,24 +133,6 @@ def softplus(x: Node) -> Node:
 def exp(x: Node) -> Node:
     value = np.exp(x.value)
     return Node(value, (x,), lambda g: (g * value,), op="exp")
-
-
-def log(x: Node) -> Node:
-    if np.any(x.value <= 0):
-        raise DiffError("op 'log': non-positive input")
-    return Node(np.log(x.value), (x,), lambda g: (g / x.value,), op="log")
-
-
-def powi(x: Node, n: int) -> Node:
-    """Elementwise integer power with fixed exponent."""
-    if not isinstance(n, (int, np.integer)):
-        raise DiffError("op 'powi': exponent must be an integer")
-    return Node(
-        x.value**n,
-        (x,),
-        lambda g: (g * n * x.value ** (n - 1),),
-        op="powi",
-    )
 
 
 def absolute(x: Node) -> Node:

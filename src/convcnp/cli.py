@@ -314,14 +314,15 @@ def cmd_gradcheck(config: ExperimentConfig, args):
 
 
 def cmd_equivariance_audit(config: ExperimentConfig, args):
+    if config.model_variant == "cnp":
+        raise ConfigError(
+            "equivariance-audit needs a ConvCNP variant; 'cnp' has no grid to shift"
+        )
     seed, out, shift = args.seed, args.out, args.shift
     rows = []
     task = sample_task(config.process, derive_seed(seed, 5, 0))
     for gamma in (16.0, 32.0, 64.0):
-        model = ConvCNP(
-            dim_y=task.dim_y, gamma=gamma, sigma_floor=config.sigma_floor,
-            init_seed=config.init_seed,
-        )
+        model = replace(config, gamma=gamma).build_model()
         base = model.forward(task)
         exact_shift = round(shift * gamma) / gamma
         moved = model.forward(task.translated(exact_shift))

@@ -57,31 +57,18 @@ def make_grid(context_xs, target_xs, gamma: float, margin: float = 0.0) -> Unifo
 
 
 def phi_power_series(y, multiplicity: int = 1) -> np.ndarray:
-    """Feature map (1, y, y^2, ..., y^K) applied per output channel.
+    """Feature map (1, y, y^2, ..., y^K) of each row of ``y``, (N, dim_y).
 
-    For a vector observation the layout is (1, y_1..y_d, y_1^2..y_d^2, ...),
-    so the length is 1 + K * dim_y.  Multiplicity one reduces to appending
-    a constant: (1, y).
+    Returns (1 + K * dim_y, N): column n is (1, y_n1..y_nd, y_n1^2..y_nd^2,
+    ...).  Multiplicity one reduces to appending a constant: (1, y).
     """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
-    y = np.atleast_1d(np.asarray(y, float))
-    powers = [np.ones(1)]
+    y = np.asarray(y, float)
+    powers = [np.ones((1, len(y)))]
     for k in range(1, multiplicity + 1):
-        powers.append(y**k)
+        powers.append((y**k).T)
     return np.concatenate(powers)
-
-
-@dataclass
-class FunctionalEmbedding:
-    """Multi-channel function values on a grid; channel 0 is the density."""
-
-    grid: UniformGrid
-    channels: ad.Node  # shape (1 + K * dim_y, T)
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.channels.value[0]
 
 
 def embed(
@@ -90,9 +77,10 @@ def embed(
     grid: UniformGrid,
     log_length_scale: ad.Node,
     multiplicity: int = 1,
-) -> FunctionalEmbedding:
+) -> ad.Node:
     """Smooth the power-series features of a context set onto the grid.
 
+    Returns the (1 + K * dim_y, T) channels, channel 0 the density:
     channels[:, i] = sum_n phi(y_n) * psi(t_i - x_n), differentiable in the
     smoothing kernel's log length scale.  Context points are accumulated in
     sorted-by-x order so the result is bit-identical under permutations of
@@ -105,8 +93,7 @@ def embed(
     dim_y = context_y.shape[1] if context_y.size else 1
     n_channels = 1 + multiplicity * dim_y
     if context_x.size == 0:
-        zeros = ad.constant(np.zeros((n_channels, grid.n_points)))
-        return FunctionalEmbedding(grid=grid, channels=zeros)
+        return ad.constant(np.zeros((n_channels, grid.n_points)))
 
     order = np.argsort(context_x, kind="stable")
     context_x = context_x[order]
@@ -114,11 +101,8 @@ def embed(
 
     distances = context_x[:, None] - grid.points[None, :]  # (N, T)
     psi = learnable_psi_eval(log_length_scale, distances)
-    phi = np.stack(
-        [phi_power_series(y, multiplicity) for y in context_y], axis=1
-    )  # (C, N)
-    channels = ad.matmul(ad.constant(phi), psi)
-    return FunctionalEmbedding(grid=grid, channels=channels)
+    phi = phi_power_series(context_y, multiplicity)  # (C, N)
+    return ad.matmul(ad.constant(phi), psi)
 
 
 def divide_by_density(channels: ad.Node, eps: float = DENSITY_EPS) -> ad.Node:
@@ -132,12 +116,3 @@ def divide_by_density(channels: ad.Node, eps: float = DENSITY_EPS) -> ad.Node:
     signal = ad.narrow(channels, 0, 1, channels.value.shape[0] - 1)
     normalized = ad.div(signal, ad.add(density, ad.constant(np.asarray(eps))))
     return ad.concat([density, normalized], axis=0)
-
-
-def normalize_density(
-    emb: FunctionalEmbedding, eps: float = DENSITY_EPS
-) -> FunctionalEmbedding:
-    """Divide signal channels by (density + eps); density itself is kept."""
-    return FunctionalEmbedding(
-        grid=emb.grid, channels=divide_by_density(emb.channels, eps)
-    )

@@ -32,8 +32,8 @@ class Matern52:
     """Matern-5/2 with the rescaled distance d = input_scale * |x - x'|.
 
     (1 + sqrt(5)*d + (5/3)*d^2) exp(-sqrt(5)*d); input_scale 4 is a length
-    scale of 0.25.  See :func:`matern52_printed` for the non-PSD variant
-    this replaces.
+    scale of 0.25.  The factor 4 belongs in the distance: written instead as
+    a 4*sqrt(5)*d linear coefficient, the expression is not positive definite.
     """
 
     input_scale: float = 4.0
@@ -45,23 +45,6 @@ class Matern52:
         return (1.0 + np.sqrt(5.0) * d + (5.0 / 3.0) * d**2) * np.exp(
             -np.sqrt(5.0) * d
         )
-
-
-def matern52_printed(x, x2, input_scale: float = 4.0) -> np.ndarray:
-    """The Matern expression with a 4*sqrt(5)*d linear coefficient.
-
-    Kept for reference only: this function is NOT positive definite (Gram
-    matrices on random point sets have eigenvalues near -2), so it cannot
-    be a covariance.  The working :class:`Matern52` uses the conventional
-    sqrt(5)*d coefficient, folding the factor 4 into the distance rescaling
-    d = 4|x - x'| instead.
-    """
-    d = input_scale * np.abs(
-        np.subtract.outer(np.asarray(x, float), np.asarray(x2, float))
-    )
-    return (1.0 + 4.0 * np.sqrt(5.0) * d + (5.0 / 3.0) * d**2) * np.exp(
-        -np.sqrt(5.0) * d
-    )
 
 
 @dataclass(frozen=True)
@@ -84,11 +67,6 @@ DATA_KERNELS = {
 }
 
 
-def kernel_eval(spec, x, x2) -> float:
-    """Pointwise kernel value k(x, x')."""
-    return float(spec(np.atleast_1d(x), np.atleast_1d(x2))[0, 0])
-
-
 def gram(spec, xs) -> np.ndarray:
     """Symmetric Gram matrix of pairwise kernel values."""
     xs = np.asarray(xs, float)
@@ -96,20 +74,24 @@ def gram(spec, xs) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def cholesky_with_jitter(matrix, jitter_scale=1e-6, max_retries=3):
+JITTER_SCALE = 1e-6
+JITTER_RETRIES = 3
+
+
+def cholesky_with_jitter(matrix):
     """Lower-triangular Cholesky of matrix + jitter*I, escalating jitter x10.
 
-    Base jitter is jitter_scale * mean(diagonal).
+    Base jitter is JITTER_SCALE * mean(diagonal); it grows JITTER_RETRIES times.
     """
     matrix = np.asarray(matrix, float)
-    jitter = jitter_scale * float(np.mean(np.diag(matrix))) if matrix.size else 0.0
-    for attempt in range(max_retries + 1):
+    jitter = JITTER_SCALE * float(np.mean(np.diag(matrix))) if matrix.size else 0.0
+    for _ in range(JITTER_RETRIES + 1):
         try:
             return np.linalg.cholesky(matrix + jitter * np.eye(len(matrix)))
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise np.linalg.LinAlgError(
-        f"Cholesky failed after {max_retries} jitter escalations (final {jitter:.1e})"
+        f"Cholesky failed after {JITTER_RETRIES} jitter escalations (final {jitter:.1e})"
     )
 
 

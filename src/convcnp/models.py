@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .embedding import DENSITY_EPS, divide_by_density, embed, make_grid, normalize_density
+from .embedding import DENSITY_EPS, divide_by_density, embed, make_grid
 from .kernels import init_log_length_scale, learnable_psi_eval
 from .synthdata import Task, make_rng
 
@@ -97,19 +97,9 @@ def _init_cnn_params(store, prefix, spec: CnnSpec, in_channels: int, rng, ndim=1
         c_in = c_out
 
 
-def _apply_conv(x, weight, bias, padding):
-    conv = ad.conv1d if weight.value.ndim == 3 else ad.conv2d
-    return conv(x, weight, bias, padding=padding)
-
-
-def _apply_separable(x, dw, pw, bias, padding):
-    conv = ad.conv1d if dw.value.ndim == 3 else ad.conv2d
-    depthwise = conv(x, dw, padding=padding, groups=x.value.shape[0])
-    return conv(depthwise, pw, bias, padding=padding)
-
-
 def cnn_forward(spec: CnnSpec, x: ad.Node, leaves, prefix: str, padding="zeros") -> ad.Node:
     """Run the conv stack; ``x`` is channels-first (C, T) or (C, H, W)."""
+    conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
     acts = {}
     h = x
     n = spec.n_layers
@@ -118,11 +108,10 @@ def cnn_forward(spec: CnnSpec, x: ad.Node, leaves, prefix: str, padding="zeros")
             h = ad.concat([acts[j] for j in spec.skips[i]], axis=0)
         bias = leaves[f"{prefix}.l{i}.bias"]
         if spec.separable and spec.kernel_size > 1:
-            h = _apply_separable(
-                h, leaves[f"{prefix}.l{i}.dw"], leaves[f"{prefix}.l{i}.pw"], bias, padding
-            )
+            h = conv(h, leaves[f"{prefix}.l{i}.dw"], padding=padding, groups=h.value.shape[0])
+            h = conv(h, leaves[f"{prefix}.l{i}.pw"], bias, padding=padding)
         else:
-            h = _apply_conv(h, leaves[f"{prefix}.l{i}.weight"], bias, padding)
+            h = conv(h, leaves[f"{prefix}.l{i}.weight"], bias, padding=padding)
         if i < n:
             h = ad.relu(h)
         acts[i] = h
@@ -228,8 +217,7 @@ class ConvCNP:
             leaves["encoder.log_length_scale"],
             self.multiplicity,
         )
-        emb = normalize_density(emb, DENSITY_EPS)
-        h = cnn_forward(self.cnn, emb.channels, leaves, "cnn")
+        h = cnn_forward(self.cnn, divide_by_density(emb), leaves, "cnn")
         f_mu = ad.narrow(h, 0, 0, self.dim_y)
         f_sigma = ad.narrow(h, 0, self.dim_y, self.dim_y)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
@@ -13,50 +11,25 @@ from .kernels import cholesky_with_jitter, gram
 VARIANCE_CLAMP = 1e-12
 
 
-@dataclass
-class GPPosterior:
-    """Posterior predictive of a GP conditioned on noiseless context points."""
+def gp_posterior_predict(kernel, context_x, context_y, xs):
+    """Marginal posterior mean and standard deviation at ``xs``.
 
-    kernel: object
-    context_x: np.ndarray
-    context_y: np.ndarray
-    noise_variance: float
-    _chol: np.ndarray
-    _alpha: np.ndarray
-
-    @classmethod
-    def fit(cls, kernel, context_x, context_y, noise_variance: float = 0.0):
-        context_x = np.atleast_1d(np.asarray(context_x, float))
-        context_y = np.atleast_1d(np.asarray(context_y, float)).reshape(len(context_x))
-        if context_x.size == 0:
-            return cls(kernel, context_x, context_y, noise_variance,
-                       np.zeros((0, 0)), np.zeros(0))
-        k_cc = gram(kernel, context_x) + noise_variance * np.eye(len(context_x))
-        chol = cholesky_with_jitter(k_cc)
-        alpha = cho_solve((chol, True), context_y)
-        return cls(kernel, context_x, context_y, noise_variance, chol, alpha)
-
-    def predict(self, xs):
-        """Marginal posterior mean and standard deviation at ``xs``.
-
-        With no context this is the prior: mean 0, variance k(x, x).
-        Variances are clamped at 1e-12 before the square root.
-        """
-        xs = np.atleast_1d(np.asarray(xs, float))
-        prior_var = np.array([self.kernel(np.atleast_1d(x), np.atleast_1d(x))[0, 0]
-                              for x in xs])
-        if self.context_x.size == 0:
-            return np.zeros(len(xs)), np.sqrt(np.maximum(prior_var, VARIANCE_CLAMP))
-        k_sc = self.kernel(xs, self.context_x)
-        mean = k_sc @ self._alpha
-        v = solve_triangular(self._chol, k_sc.T, lower=True)
-        var = prior_var - np.sum(v**2, axis=0) + self.noise_variance
-        return mean, np.sqrt(np.maximum(var, VARIANCE_CLAMP))
-
-
-def gp_posterior_predict(kernel, context_x, context_y, xs, noise_variance=0.0):
-    """One-shot posterior predictive at ``xs`` given a noiseless context set."""
-    return GPPosterior.fit(kernel, context_x, context_y, noise_variance).predict(xs)
+    The GP is conditioned on a noiseless context set.  With no context this
+    is the prior: mean 0, variance k(x, x).  Variances are clamped at 1e-12
+    before the square root.
+    """
+    context_x = np.atleast_1d(np.asarray(context_x, float))
+    context_y = np.atleast_1d(np.asarray(context_y, float)).reshape(len(context_x))
+    xs = np.atleast_1d(np.asarray(xs, float))
+    prior_var = np.diag(kernel(xs, xs))
+    if context_x.size == 0:
+        return np.zeros(len(xs)), np.sqrt(np.maximum(prior_var, VARIANCE_CLAMP))
+    chol = cholesky_with_jitter(gram(kernel, context_x))
+    k_sc = kernel(xs, context_x)
+    mean = k_sc @ cho_solve((chol, True), context_y)
+    v = solve_triangular(chol, k_sc.T, lower=True)
+    var = prior_var - np.sum(v**2, axis=0)
+    return mean, np.sqrt(np.maximum(var, VARIANCE_CLAMP))
 
 
 def gp_task_ll(kernel, task) -> float:

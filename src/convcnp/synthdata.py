@@ -269,10 +269,10 @@ class ProcessSpec:
             raise ValueError(f"unknown process kind '{self.kind}'")
 
     @classmethod
-    def default_for(cls, kind: str, x_range=(-2.0, 2.0)) -> "ProcessSpec":
+    def default_for(cls, kind: str) -> "ProcessSpec":
         if kind == "sawtooth":
-            return cls(kind, x_range, (3, 100), (3, 100))
-        return cls(kind, x_range)
+            return cls(kind, n_context=(3, 100), n_target=(3, 100))
+        return cls(kind)
 
 
 def sample_task(process: ProcessSpec, seed: int, stats: dict | None = None) -> Task:

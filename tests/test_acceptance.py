@@ -324,8 +324,8 @@ class TestCriterion9Injectivity:
         for _ in range(1000):
             xa, ya = rng.uniform(-2, 2, 2), rng.normal(size=(2, 1))
             xb, yb = rng.uniform(-2, 2, 2), rng.normal(size=(2, 1))
-            ea = embed(xa, ya, grid, log_l).channels.value
-            eb = embed(xb, yb, grid, log_l).channels.value
+            ea = embed(xa, ya, grid, log_l).value
+            eb = embed(xb, yb, grid, log_l).value
             smallest = min(smallest, np.abs(ea - eb).max())
         report("criterion 9", f"smallest sup-norm gap over 1000 pairs {smallest:.2e}")
         assert smallest > 1e-6

@@ -301,6 +301,28 @@ class TestOtherCommands:
         for row in rows:
             assert float(row[2]) < 1e-10
 
+    def test_equivariance_audit_uses_configured_variant(self, tmp_path):
+        offgrid = {}
+        for variant in ("convcnp-small", "convcnp-xl"):
+            config = write_config(tmp_path, name=f"{variant}.json", model={"variant": variant})
+            out = tmp_path / variant
+            assert main([
+                "equivariance-audit", "--config", str(config), "--out", str(out),
+            ]) == 0
+            _, _, rows = read_csv(out / "equivariance.csv")
+            assert len(rows) == 3
+            for row in rows:
+                assert float(row[2]) < 1e-10
+            offgrid[variant] = [r[3] for r in rows]
+        assert offgrid["convcnp-xl"] != offgrid["convcnp-small"]  # a different model ran
+
+    def test_equivariance_audit_rejects_cnp(self, tmp_path, capsys):
+        config = write_config(tmp_path, model={"variant": "cnp"})
+        assert main([
+            "equivariance-audit", "--config", str(config), "--out", str(tmp_path / "eq"),
+        ]) == 1
+        assert "'cnp'" in capsys.readouterr().err
+
     def test_bad_config_path(self, tmp_path, capsys):
         code = main([
             "dump", "--config", str(tmp_path / "missing.json"),

@@ -4,9 +4,9 @@ import pytest
 from convcnp import autodiff as ad
 from convcnp.embedding import (
     DENSITY_EPS,
+    divide_by_density,
     embed,
     make_grid,
-    normalize_density,
     phi_power_series,
 )
 
@@ -54,29 +54,34 @@ class TestMakeGrid:
 
 class TestPhiPowerSeries:
     def test_order_one_at_zero(self):
-        np.testing.assert_array_equal(phi_power_series(0.0, 1), [1.0, 0.0])
+        np.testing.assert_array_equal(phi_power_series([[0.0]], 1), [[1.0], [0.0]])
 
     def test_higher_order_powers(self):
-        np.testing.assert_array_equal(phi_power_series(2.0, 3), [1, 2, 4, 8])
+        np.testing.assert_array_equal(phi_power_series([[2.0]], 3), [[1], [2], [4], [8]])
 
     def test_multichannel_order_one(self):
-        np.testing.assert_array_equal(phi_power_series([3.0, -1.0], 1), [1, 3, -1])
+        np.testing.assert_array_equal(phi_power_series([[3.0, -1.0]], 1), [[1], [3], [-1]])
+
+    def test_each_row_is_one_column(self):
+        ys = np.random.default_rng(7).normal(size=(6, 2))
+        columns = [np.concatenate([[1.0], y, y**2, y**3]) for y in ys]
+        np.testing.assert_array_equal(phi_power_series(ys, 3), np.stack(columns, axis=1))
 
     def test_rejects_zero_multiplicity(self):
         with pytest.raises(ValueError):
-            phi_power_series(1.0, 0)
+            phi_power_series([[1.0]], 0)
 
 
 class TestEmbed:
     def test_single_point_at_grid_node(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
         emb = embed([0.0], [2.0], grid, log_l())
-        np.testing.assert_allclose(emb.channels.value[:, 0], [1.0, 2.0])
+        np.testing.assert_allclose(emb.value[:, 0], [1.0, 2.0])
 
     def test_empty_context_gives_zero_embedding(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
         emb = embed([], np.zeros((0, 1)), grid, log_l())
-        np.testing.assert_array_equal(emb.channels.value, 0.0)
+        np.testing.assert_array_equal(emb.value, 0.0)
 
     def test_density_channel_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -84,17 +89,17 @@ class TestEmbed:
         for _ in range(20):
             n = rng.integers(1, 10)
             emb = embed(rng.uniform(-2, 2, n), rng.normal(size=(n, 1)), grid, log_l())
-            assert np.all(emb.density >= 0)
+            assert np.all(emb.value[0] >= 0)
 
     def test_permutation_invariance_bit_exact(self):
         rng = np.random.default_rng(3)
         grid = make_grid([-2.0], [2.0], gamma=32.0)
         xs = rng.uniform(-2, 2, size=12)
         ys = rng.normal(size=(12, 1))
-        base = embed(xs, ys, grid, log_l()).channels.value
+        base = embed(xs, ys, grid, log_l()).value
         for _ in range(10):
             perm = rng.permutation(12)
-            shuffled = embed(xs[perm], ys[perm], grid, log_l()).channels.value
+            shuffled = embed(xs[perm], ys[perm], grid, log_l()).value
             assert np.array_equal(shuffled, base)
 
     def test_discrete_translation_equivariance(self):
@@ -103,11 +108,11 @@ class TestEmbed:
         xs = rng.uniform(-2, 2, size=8)
         ys = rng.normal(size=(8, 1))
         grid = make_grid(xs, xs, gamma=gamma)
-        base = embed(xs, ys, grid, log_l()).channels.value
+        base = embed(xs, ys, grid, log_l()).value
         for steps in (1, 2, 4, 17):
             tau = steps / gamma
             shifted_grid = make_grid(xs + tau, xs + tau, gamma=gamma)
-            shifted = embed(xs + tau, ys, shifted_grid, log_l()).channels.value
+            shifted = embed(xs + tau, ys, shifted_grid, log_l()).value
             np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_distinct_pairs_have_distinct_embeddings(self):
@@ -117,8 +122,8 @@ class TestEmbed:
         for _ in range(100):
             xa, ya = rng.uniform(-2, 2, 2), rng.normal(size=(2, 1))
             xb, yb = rng.uniform(-2, 2, 2), rng.normal(size=(2, 1))
-            ea = embed(xa, ya, grid, log_l()).channels.value
-            eb = embed(xb, yb, grid, log_l()).channels.value
+            ea = embed(xa, ya, grid, log_l()).value
+            eb = embed(xb, yb, grid, log_l()).value
             assert np.abs(ea - eb).max() > 1e-6
 
     def test_multiplicity_two_distinguishes_multisets_at_same_location(self):
@@ -132,7 +137,7 @@ class TestEmbed:
                 emb = embed(
                     [0.5, 0.5], np.array([[y1], [y2]]), grid, log_l(), multiplicity=2
                 )
-                key = tuple(np.round(emb.channels.value[:, 4], 9))
+                key = tuple(np.round(emb.value[:, 4], 9))
                 assert key not in seen, f"collision: {seen[key]} vs {(y1, y2)}"
                 seen[key] = (y1, y2)
 
@@ -144,8 +149,8 @@ class TestEmbed:
         ys = np.array([[1.0], [-2.0], [0.5]])
 
         def builder(leaves):
-            emb = normalize_density(embed(xs, ys, grid, leaves["log_l"]))
-            return ad.reduce_sum(ad.mul(emb.channels, emb.channels))
+            emb = divide_by_density(embed(xs, ys, grid, leaves["log_l"]))
+            return ad.reduce_sum(ad.mul(emb, emb))
 
         assert ad.grad_check(builder, store, step=1e-6) < 1e-6
 
@@ -153,23 +158,23 @@ class TestEmbed:
 class TestNormalizeDensity:
     def test_single_point_normalization(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
-        emb = normalize_density(embed([0.0], [2.0], grid, log_l()))
-        assert emb.channels.value[1, 0] == pytest.approx(2.0 / (1.0 + DENSITY_EPS))
+        emb = divide_by_density(embed([0.0], [2.0], grid, log_l()))
+        assert emb.value[1, 0] == pytest.approx(2.0 / (1.0 + DENSITY_EPS))
 
     def test_zero_density_keeps_signal_zero(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
-        emb = normalize_density(embed([], np.zeros((0, 1)), grid, log_l()))
-        np.testing.assert_array_equal(emb.channels.value, 0.0)
+        emb = divide_by_density(embed([], np.zeros((0, 1)), grid, log_l()))
+        np.testing.assert_array_equal(emb.value, 0.0)
 
     def test_duplicated_context_doubles_density_only(self):
         rng = np.random.default_rng(6)
         grid = make_grid([-1.0], [1.0], gamma=16.0)
         xs = rng.uniform(-1, 1, size=5)
         ys = rng.normal(size=(5, 1))
-        single = normalize_density(embed(xs, ys, grid, log_l())).channels.value
-        doubled = normalize_density(
+        single = divide_by_density(embed(xs, ys, grid, log_l())).value
+        doubled = divide_by_density(
             embed(np.tile(xs, 2), np.tile(ys, (2, 1)), grid, log_l())
-        ).channels.value
+        ).value
         np.testing.assert_allclose(doubled[0], 2 * single[0], rtol=1e-9)
         # away from covered grid points the eps guard dominates, so compare
         # the signal channel only where the density is non-negligible
@@ -180,10 +185,10 @@ class TestNormalizeDensity:
     def test_density_channel_preserved(self):
         grid = make_grid([0.0], [1.0], gamma=8.0)
         raw = embed([0.3, 0.6], [[1.0], [2.0]], grid, log_l())
-        norm = normalize_density(raw)
-        np.testing.assert_array_equal(norm.channels.value[0], raw.channels.value[0])
+        norm = divide_by_density(raw)
+        np.testing.assert_array_equal(norm.value[0], raw.value[0])
 
     def test_rejects_nonpositive_eps(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
         with pytest.raises(ValueError):
-            normalize_density(embed([0.0], [1.0], grid, log_l()), eps=0.0)
+            divide_by_density(embed([0.0], [1.0], grid, log_l()), eps=0.0)
