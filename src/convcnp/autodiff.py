@@ -9,6 +9,7 @@ finite-difference checks are reliable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -20,23 +21,53 @@ class DiffError(ValueError):
     """Raised on shape mismatches, non-finite values, or invalid op arguments."""
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Build nodes without a tape: they keep no parents and no vjp.
+
+    For forward passes that never run backward, such as evaluation: each
+    intermediate array is freed as soon as the next op has consumed it.
+    """
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 class Node:
     """A value in the computation graph.
 
     ``grad`` accumulates across backward passes; callers reset it explicitly
-    (``adam_step`` zeroes parameter gradients after each update).
+    (``adam_step`` zeroes parameter gradients after each update).  It is
+    allocated only when first read or reached by backward, so nodes that backward never
+    reaches cost no buffer.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_vjp")
+    __slots__ = ("value", "_grad", "_parents", "_vjp")
 
     def __init__(self, value, parents=(), vjp=None, op="const"):
         value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise DiffError(f"op '{op}' produced non-finite values")
         self.value = value
-        self.grad = np.zeros_like(value)
-        self._parents = tuple(parents)
-        self._vjp = vjp
+        self._grad = None
+        if _recording:
+            self._parents = tuple(parents)
+            self._vjp = vjp
+        else:
+            self._parents = ()
+            self._vjp = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
 
     @property
     def shape(self):
@@ -372,13 +403,21 @@ def backward(loss: Node) -> None:
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    loss.grad = loss.grad + np.ones_like(loss.value)
+    _add_grad(loss, np.ones_like(loss.value))
     for node in reversed(order):
         if node._vjp is None:
             continue
-        grads = node._vjp(np.asarray(node.grad))
+        grads = node._vjp(node.grad)
         for parent, g in zip(node._parents, grads):
-            parent.grad = parent.grad + g
+            _add_grad(parent, g)
+
+
+def _add_grad(node: Node, g) -> None:
+    """Keep a node's first incoming gradient as it is; add later ones.
+
+    Never in place: a stored gradient may be a view shared with another node.
+    """
+    node._grad = g if node._grad is None else node._grad + g
 
 
 @dataclass

@@ -90,8 +90,7 @@ def embed(
     context_y = np.asarray(context_y, float)
     if context_y.ndim == 1:
         context_y = context_y[:, None]
-    dim_y = context_y.shape[1] if context_y.size else 1
-    n_channels = 1 + multiplicity * dim_y
+    n_channels = 1 + multiplicity * context_y.shape[1]
     if context_x.size == 0:
         return ad.constant(np.zeros((n_channels, grid.n_points)))
 

@@ -81,18 +81,22 @@ JITTER_RETRIES = 3
 def cholesky_with_jitter(matrix):
     """Lower-triangular Cholesky of matrix + jitter*I, escalating jitter x10.
 
-    Base jitter is JITTER_SCALE * mean(diagonal); it grows JITTER_RETRIES times.
+    Base jitter is JITTER_SCALE * mean(diagonal), or JITTER_SCALE itself when
+    that mean is not positive; it grows JITTER_RETRIES times.
     """
     matrix = np.asarray(matrix, float)
-    jitter = JITTER_SCALE * float(np.mean(np.diag(matrix))) if matrix.size else 0.0
-    for _ in range(JITTER_RETRIES + 1):
+    mean_diagonal = float(np.mean(np.diag(matrix))) if matrix.size else 0.0
+    jitter = JITTER_SCALE * mean_diagonal if mean_diagonal > 0 else JITTER_SCALE
+    for attempt in range(JITTER_RETRIES + 1):
         try:
             return np.linalg.cholesky(matrix + jitter * np.eye(len(matrix)))
         except np.linalg.LinAlgError:
+            if attempt == JITTER_RETRIES:
+                raise np.linalg.LinAlgError(
+                    f"Cholesky failed after {JITTER_RETRIES} jitter escalations "
+                    f"(largest jitter tried {jitter:.1e})"
+                ) from None
             jitter *= 10.0
-    raise np.linalg.LinAlgError(
-        f"Cholesky failed after {JITTER_RETRIES} jitter escalations (final {jitter:.1e})"
-    )
 
 
 def init_log_length_scale(gamma: float, dim: int = 1) -> float:

@@ -97,8 +97,15 @@ def _init_cnn_params(store, prefix, spec: CnnSpec, in_channels: int, rng, ndim=1
         c_in = c_out
 
 
-def cnn_forward(spec: CnnSpec, x: ad.Node, leaves, prefix: str, padding="zeros") -> ad.Node:
-    """Run the conv stack; ``x`` is channels-first (C, T) or (C, H, W)."""
+def cnn_forward(
+    spec: CnnSpec, x: ad.Node, leaves, prefix: str, padding="zeros", mask=None
+) -> ad.Node:
+    """Run the conv stack; ``x`` is channels-first (C, T) or (C, H, W).
+
+    ``mask``, a 0/1 constant that broadcasts against every hidden layer,
+    multiplies each ReLU output, so masked positions stay zero from layer to
+    layer as they would be in the zero padding of a separate signal.
+    """
     conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
     acts = {}
     h = x
@@ -114,6 +121,8 @@ def cnn_forward(spec: CnnSpec, x: ad.Node, leaves, prefix: str, padding="zeros")
             h = conv(h, leaves[f"{prefix}.l{i}.weight"], bias, padding=padding)
         if i < n:
             h = ad.relu(h)
+            if mask is not None:
+                h = ad.mul(h, mask)
         acts[i] = h
     return h
 
@@ -207,27 +216,54 @@ class ConvCNP:
         _init_cnn_params(self.params, "cnn", self.cnn, self.in_channels, rng, ndim=1)
 
     def forward(self, task: Task, leaves=None) -> PredictiveDistribution:
+        return self.forward_many([task], leaves)[0]
+
+    def forward_many(self, tasks, leaves=None) -> list:
+        """One predictive distribution per task, from one run of the CNN.
+
+        Each task keeps its own anchored grid.  The grids are laid end to end
+        along one (C, L) signal, with (k - 1) / 2 zero columns between
+        neighbours, and a column mask keeps those gaps at zero after every
+        hidden layer.  So each task's columns see exactly the zero padding
+        they would see alone, and the readout uses only the task's own
+        columns: the result matches a task-by-task run up to the rounding of
+        the batched matmuls.
+        """
         if leaves is None:
             leaves = self.params.leaves()
-        grid = make_grid(task.context_x, task.target_x, self.gamma, self.margin)
-        emb = embed(
-            task.context_x,
-            task.context_y,
-            grid,
-            leaves["encoder.log_length_scale"],
-            self.multiplicity,
-        )
-        h = cnn_forward(self.cnn, divide_by_density(emb), leaves, "cnn")
+        grids = [make_grid(t.context_x, t.target_x, self.gamma, self.margin) for t in tasks]
+        pieces = [
+            embed(t.context_x, t.context_y, grid, leaves["encoder.log_length_scale"],
+                  self.multiplicity)
+            for t, grid in zip(tasks, grids)
+        ]
+        gap = (self.cnn.kernel_size - 1) // 2
+        sizes = [grid.n_points for grid in grids]
+        starts = np.cumsum([0] + [n + gap for n in sizes[:-1]])
+        signal, mask = pieces[0], None
+        if len(tasks) > 1:
+            zeros = ad.constant(np.zeros((self.in_channels, gap)))
+            signal = ad.concat([p for piece in pieces for p in (zeros, piece)][1:], axis=1)
+            on = np.zeros((1, starts[-1] + sizes[-1]))
+            for start, n in zip(starts, sizes):
+                on[:, start : start + n] = 1.0
+            mask = ad.constant(on)
+        # the division is elementwise, and a gap's 0 / eps stays 0
+        signal = divide_by_density(signal)
+        h = cnn_forward(self.cnn, signal, leaves, "cnn", mask=mask)
         f_mu = ad.narrow(h, 0, 0, self.dim_y)
-        f_sigma = ad.narrow(h, 0, self.dim_y, self.dim_y)
+        f_sigma = ad.softplus(ad.narrow(h, 0, self.dim_y, self.dim_y))
 
-        distances = grid.points[:, None] - np.asarray(task.target_x, float)[None, :]
-        basis = learnable_psi_eval(leaves["readout.log_length_scale"], distances)
-        mu = ad.matmul(f_mu, basis)
-        sigma = ad.matmul(ad.softplus(f_sigma), basis)
-        if self.sigma_floor:
-            sigma = _floor_sigma(sigma)
-        return PredictiveDistribution(mu=mu, sigma=sigma)
+        preds = []
+        for task, grid, start in zip(tasks, grids, starts):
+            distances = grid.points[:, None] - np.asarray(task.target_x, float)[None, :]
+            basis = learnable_psi_eval(leaves["readout.log_length_scale"], distances)
+            mu = ad.matmul(ad.narrow(f_mu, 1, start, grid.n_points), basis)
+            sigma = ad.matmul(ad.narrow(f_sigma, 1, start, grid.n_points), basis)
+            if self.sigma_floor:
+                sigma = _floor_sigma(sigma)
+            preds.append(PredictiveDistribution(mu=mu, sigma=sigma))
+        return preds
 
 
 class CNPBaseline:
@@ -273,29 +309,51 @@ class CNPBaseline:
         return h
 
     def forward(self, task: Task, leaves=None) -> PredictiveDistribution:
+        return self.forward_many([task], leaves)[0]
+
+    def forward_many(self, tasks, leaves=None) -> list:
+        """One predictive distribution per task, from one encoder and one decoder pass.
+
+        All context points go through the encoder together, each task's
+        sorted by x so pooling is exactly permutation invariant.  A fixed
+        (sum N, B) averaging matrix takes the per-task means; an empty
+        context pools to zeros.  A 0/1 (B, sum M) matrix then hands each
+        target its task's representation.
+        """
         if leaves is None:
             leaves = self.params.leaves()
-        ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
-        ctx_y = np.asarray(task.context_y, float)
-        if ctx_y.ndim == 1:
-            ctx_y = ctx_y[:, None]
-        tgt_x = np.atleast_1d(np.asarray(task.target_x, float))
-        n_targets = tgt_x.size
-
-        if ctx_x.size:
-            order = np.argsort(ctx_x, kind="stable")  # exact permutation invariance
-            inputs = ad.constant(
-                np.vstack([ctx_x[order][None, :], ctx_y[order].T])
-            )
-            rep = ad.reduce_mean(self._mlp("enc", inputs, leaves), axis=1, keepdims=True)
+        inputs, targets, n_ctx, n_tgt = [], [], [], []
+        for task in tasks:
+            ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
+            if ctx_x.size:
+                ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, -1)
+                order = np.argsort(ctx_x, kind="stable")  # exact permutation invariance
+                inputs.append(np.vstack([ctx_x[order][None, :], ctx_y[order].T]))
+            targets.append(np.atleast_1d(np.asarray(task.target_x, float)))
+            n_ctx.append(ctx_x.size)
+            n_tgt.append(targets[-1].size)
+        segments = np.repeat(np.arange(len(tasks)), n_ctx)
+        if segments.size:
+            average = np.zeros((segments.size, len(tasks)))
+            average[np.arange(segments.size), segments] = 1.0 / np.asarray(n_ctx)[segments]
+            encoded = self._mlp("enc", ad.constant(np.concatenate(inputs, axis=1)), leaves)
+            rep = ad.matmul(encoded, ad.constant(average))
         else:
-            rep = ad.constant(np.zeros((self.HIDDEN, 1)))
-        tiled = ad.matmul(rep, ad.constant(np.ones((1, n_targets))))
-        dec_in = ad.concat([ad.constant(tgt_x[None, :]), tiled], axis=0)
+            rep = ad.constant(np.zeros((self.HIDDEN, len(tasks))))
+        spread = np.zeros((len(tasks), sum(n_tgt)))
+        spread[np.repeat(np.arange(len(tasks)), n_tgt), np.arange(sum(n_tgt))] = 1.0
+        tiled = ad.matmul(rep, ad.constant(spread))
+        dec_in = ad.concat([ad.constant(np.concatenate(targets)[None, :]), tiled], axis=0)
         out = self._mlp("dec", dec_in, leaves)
         mu = ad.narrow(out, 0, 0, self.dim_y)
         sigma = _floor_sigma(ad.softplus(ad.narrow(out, 0, self.dim_y, self.dim_y)))
-        return PredictiveDistribution(mu=mu, sigma=sigma)
+        starts = np.cumsum([0] + n_tgt[:-1])
+        return [
+            PredictiveDistribution(
+                mu=ad.narrow(mu, 1, start, m), sigma=ad.narrow(sigma, 1, start, m)
+            )
+            for start, m in zip(starts, n_tgt)
+        ]
 
 
 @dataclass

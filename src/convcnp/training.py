@@ -84,15 +84,23 @@ class EvalSummary:
     per_task_mse: np.ndarray
 
 
+_EVAL_CHUNK = 8  # tasks per batched forward in evaluate
+
+
 def evaluate(model, tasks) -> EvalSummary:
-    """Per-task mean target log likelihood and mean prediction error."""
+    """Per-task mean target log likelihood and mean prediction error.
+
+    Tasks go through ``forward_many`` in chunks, with no tape kept.
+    """
     if not tasks:
         raise ValueError("evaluate: no tasks")
     lls, mses = [], []
-    for task in tasks:
-        pred = model.forward(task)
-        lls.append(log_likelihood_per_point(pred, task.target_y))
-        mses.append(float(np.mean((pred.mean - task.target_y) ** 2)))
+    with ad.no_tape():
+        for i in range(0, len(tasks), _EVAL_CHUNK):
+            chunk = tasks[i : i + _EVAL_CHUNK]
+            for task, pred in zip(chunk, model.forward_many(chunk)):
+                lls.append(log_likelihood_per_point(pred, task.target_y))
+                mses.append(float(np.mean((pred.mean - task.target_y) ** 2)))
     lls = np.asarray(lls)
     mses = np.asarray(mses)
     return EvalSummary(
@@ -129,21 +137,17 @@ def train(model, config: TrainConfig, process: ProcessSpec):
         t0 = time.perf_counter()
         epoch_nll = 0.0
         for _ in range(config.batches_per_epoch):
+            tasks = [
+                sample_task(process, derive_seed(config.seed, 1, counter + i))
+                for i in range(config.batch_size)
+            ]
+            counter += config.batch_size
             leaves = store.leaves()
-            losses = []
-            task_seeds = []
-            for _ in range(config.batch_size):
-                seed = derive_seed(config.seed, 1, counter)
-                counter += 1
-                task = sample_task(process, seed)
-                task_seeds.append(seed)
-                try:
-                    pred = model.forward(task, leaves=leaves)
-                    losses.append(nll_loss(pred, task.target_y))
-                except ad.DiffError as err:
-                    raise RuntimeError(
-                        f"non-finite loss at epoch {epoch}, task seed {seed}: {err}"
-                    ) from err
+            try:
+                preds = model.forward_many(tasks, leaves=leaves)
+                losses = [nll_loss(p, t.target_y) for p, t in zip(preds, tasks)]
+            except ad.DiffError as err:
+                _raise_naming_task(model, leaves, tasks, epoch, err)
             batch_loss = losses[0]
             for extra in losses[1:]:
                 batch_loss = ad.add(batch_loss, extra)
@@ -180,3 +184,18 @@ def train(model, config: TrainConfig, process: ProcessSpec):
     last_state = store.state_dict()
     store.load_state_dict(best_state)
     return log, best_state, last_state
+
+
+def _raise_naming_task(model, leaves, tasks, epoch, err):
+    """A batch failed as a whole: name the first of its tasks that fails alone."""
+    with ad.no_tape():
+        for task in tasks:
+            try:
+                nll_loss(model.forward(task, leaves=leaves), task.target_y)
+            except ad.DiffError as task_err:
+                raise RuntimeError(
+                    f"non-finite loss at epoch {epoch}, task seed {task.seed}: {task_err}"
+                ) from task_err
+    raise RuntimeError(
+        f"non-finite loss at epoch {epoch}, task seeds {[t.seed for t in tasks]}: {err}"
+    ) from err

@@ -221,3 +221,34 @@ class TestCheckpoint:
         other.add("other.weight", np.zeros((2, 3)))
         with pytest.raises(ad.DiffError):
             ad.load_checkpoint(other, path)
+
+
+def test_unreached_node_grad_reads_zeros():
+    x = ad.constant(np.ones((2, 3)))
+    unused = ad.constant(np.full(4, 2.0))
+    ad.backward(ad.reduce_sum(x))
+    np.testing.assert_array_equal(unused.grad, np.zeros(4))
+
+
+def test_two_backward_calls_accumulate_without_touching_the_first():
+    x = ad.constant(np.array([1.0, -2.0]))
+    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    first = x.grad  # kept as the first pass stored it, not copied
+    ad.backward(ad.reduce_sum(ad.mul(x, ad.constant(np.array([3.0, 5.0])))))
+    np.testing.assert_array_equal(first, [2.0, -4.0])
+    np.testing.assert_array_equal(x.grad, [5.0, 1.0])
+
+
+def test_no_tape_keeps_no_parents():
+    x = ad.constant(np.ones(3))
+    with ad.no_tape():
+        y = ad.mul(ad.exp(x), x)
+    assert y._parents == () and y._vjp is None
+    z = ad.mul(x, x)  # recording resumes after the context
+    assert z._parents == (x, x)
+
+
+def test_nonfinite_under_no_tape_names_the_op():
+    with ad.no_tape(), np.errstate(over="ignore"):
+        with pytest.raises(ad.DiffError, match="op 'exp'"):
+            ad.exp(ad.constant(np.array([1e4])))

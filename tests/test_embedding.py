@@ -83,6 +83,13 @@ class TestEmbed:
         emb = embed([], np.zeros((0, 1)), grid, log_l())
         np.testing.assert_array_equal(emb.value, 0.0)
 
+    def test_empty_two_output_context_keeps_every_channel(self):
+        grid = make_grid([0.0], [1.0], gamma=4.0)
+        for multiplicity in (1, 2):
+            emb = embed([], np.zeros((0, 2)), grid, log_l(), multiplicity)
+            assert emb.value.shape == (1 + 2 * multiplicity, grid.n_points)
+            np.testing.assert_array_equal(emb.value, 0.0)
+
     def test_density_channel_nonnegative(self):
         rng = np.random.default_rng(2)
         grid = make_grid([-2.0], [2.0], gamma=16.0)

@@ -7,6 +7,7 @@ from convcnp import autodiff as ad
 from convcnp.kernels import (
     DATA_KERNELS,
     EQ,
+    JITTER_SCALE,
     Matern52,
     WeaklyPeriodic,
     cholesky_with_jitter,
@@ -124,3 +125,30 @@ class TestLearnablePsi:
             return ad.reduce_sum(learnable_psi_eval(leaves["log_l"], d))
 
         assert ad.grad_check(builder, store, step=1e-6) < 1e-6
+
+
+class TestJitterEscalation:
+    def tried_jitters(self, matrix, monkeypatch):
+        tried = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            tried.append(float(a[0, 0] - matrix[0, 0]))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            cholesky_with_jitter(matrix)
+        return tried, str(err.value)
+
+    def test_indefinite_matrix_reports_the_largest_jitter_tried(self, monkeypatch):
+        matrix = np.array([[1.0, 2.0], [2.0, 1.0]])
+        tried, message = self.tried_jitters(matrix, monkeypatch)
+        assert tried == pytest.approx([1e-6, 1e-5, 1e-4, 1e-3], rel=1e-9)
+        assert "tried 1.0e-03)" in message
+
+    def test_nonpositive_mean_diagonal_starts_from_the_jitter_scale(self, monkeypatch):
+        tried, message = self.tried_jitters(-np.eye(3), monkeypatch)
+        assert tried[0] == pytest.approx(JITTER_SCALE, rel=1e-9)
+        assert tried == pytest.approx([1e-6, 1e-5, 1e-4, 1e-3], rel=1e-9)
+        assert "tried 1.0e-03)" in message

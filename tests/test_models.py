@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convcnp import autodiff as ad
+from convcnp.embedding import make_grid
 from convcnp.models import (
     CNPBaseline,
     CnnSpec,
@@ -254,6 +255,120 @@ class TestCNPBaseline:
         np.testing.assert_allclose(
             model.forward(repeated).mean, model.forward(single).mean, atol=1e-12
         )
+
+
+def _per_task_and_batched(model, tasks):
+    """Predictions, losses and mean-loss gradients, task by task and batched."""
+    results = []
+    for batched in (False, True):
+        leaves = model.params.leaves()
+        if batched:
+            preds = model.forward_many(tasks, leaves=leaves)
+        else:
+            preds = [model.forward(t, leaves=leaves) for t in tasks]
+        losses = [nll_loss(p, t.target_y) for p, t in zip(preds, tasks)]
+        total = losses[0]
+        for extra in losses[1:]:
+            total = ad.add(total, extra)
+        ad.backward(ad.mul(total, ad.constant(np.asarray(1.0 / len(tasks)))))
+        grads = {name: leaves[name].grad for name in model.params.names()}
+        results.append((preds, [float(loss.value) for loss in losses], grads))
+    return results
+
+
+def _grid_lengths(model, tasks):
+    return {make_grid(t.context_x, t.target_x, model.gamma, model.margin).n_points
+            for t in tasks}
+
+
+def _assert_batch_matches(model, tasks, tol=1e-12):
+    (alone, alone_loss, alone_grad), (batch, batch_loss, batch_grad) = (
+        _per_task_and_batched(model, tasks)
+    )
+    for a, b in zip(alone, batch):
+        for x, y in ((a.mean, b.mean), (a.std, b.std)):
+            assert x.shape == y.shape
+            if x.size:
+                assert np.max(np.abs(x - y)) <= tol * max(1.0, np.max(np.abs(x)))
+    for a, b in zip(alone_loss, batch_loss):
+        assert abs(a - b) <= tol * max(1.0, abs(a))
+    for name, g in alone_grad.items():
+        scale = np.max(np.abs(g))
+        assert np.max(np.abs(batch_grad[name] - g)) <= tol * scale, name
+
+
+class TestForwardMany:
+    def test_convcnp_small_eq_matches_per_task(self):
+        process = ProcessSpec("eq", n_context=(0, 30), n_target=(1, 30))
+        tasks = [sample_task(process, seed) for seed in range(6)]
+        tasks.append(tasks[0].translated(7.3))  # far away: its own grid origin
+        model = ConvCNP(gamma=32.0, init_seed=1)
+        assert len(_grid_lengths(model, tasks)) > 1
+        _assert_batch_matches(model, tasks)
+
+    def test_convcnp_xl_sawtooth_matches_per_task(self):
+        process = ProcessSpec("sawtooth", n_context=(3, 10), n_target=(3, 10))
+        tasks = [sample_task(process, seed) for seed in range(3)]
+        tasks[1] = Task(
+            tasks[1].context_x * 0.5, tasks[1].context_y,
+            tasks[1].target_x * 0.5, tasks[1].target_y,
+        )  # a shorter grid
+        model = ConvCNP(gamma=32.0, cnn=CnnSpec.xl(), init_seed=2)
+        assert len(_grid_lengths(model, tasks)) == 3
+        _assert_batch_matches(model, tasks)
+
+    def test_lotka_volterra_two_outputs_with_an_empty_context(self):
+        tasks = [sample_task(ProcessSpec("lotka-volterra"), seed) for seed in range(3)]
+        no_ctx = Task(np.zeros(0), np.zeros((0, 2)), tasks[0].target_x, tasks[0].target_y)
+        model = ConvCNP(dim_y=2, gamma=32.0, cnn=CnnSpec.small(2), init_seed=3)
+        pred = model.forward(no_ctx)
+        assert pred.mean.shape == (len(no_ctx.target_x), 2)
+        assert np.all(np.isfinite(pred.mean)) and np.all(pred.std > 0)
+        _assert_batch_matches(model, [tasks[0], no_ctx, tasks[1], tasks[2]])
+
+    def test_cnp_matches_per_task(self):
+        process = ProcessSpec("eq", n_context=(1, 20), n_target=(1, 20))
+        tasks = [sample_task(process, seed) for seed in range(5)]
+        tasks.insert(2, Task(np.zeros(0), np.zeros((0, 1)), tasks[0].target_x,
+                             tasks[0].target_y))
+        _assert_batch_matches(CNPBaseline(init_seed=4), tasks)
+
+    def test_cnp_empty_context_decodes_a_zero_representation(self):
+        model = CNPBaseline(init_seed=5)
+        task = tiny_task(13, n_ctx=4, n_tgt=6)
+        no_ctx = Task(np.zeros(0), np.zeros((0, 1)), task.target_x, task.target_y)
+        leaves = model.params.leaves()
+        dec_in = np.vstack([task.target_x[None], np.zeros((model.HIDDEN, 6))])
+        out = model._mlp("dec", ad.constant(dec_in), leaves).value
+        for batch in ([no_ctx], [task, no_ctx]):
+            pred = model.forward_many(batch, leaves=leaves)[-1]
+            np.testing.assert_allclose(pred.mean[:, 0], out[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [small_model(), ConvCNP(gamma=32.0, init_seed=6), CNPBaseline(init_seed=6)],
+        ids=["tiny", "small", "cnp"],
+    )
+    def test_forward_is_a_batch_of_one(self, model):
+        task = tiny_task(14, n_ctx=7, n_tgt=5)
+        a, b = model.forward(task), model.forward_many([task])[0]
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+
+    @pytest.mark.parametrize(
+        "model", [ConvCNP(gamma=32.0, init_seed=7), CNPBaseline(init_seed=7)],
+        ids=["convcnp", "cnp"],
+    )
+    def test_context_permutation_inside_a_batch_is_bit_exact(self, model):
+        tasks = [tiny_task(seed, n_ctx=9, n_tgt=4) for seed in (15, 16, 17)]
+        base = model.forward_many(tasks)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            shuffled = []
+            for t in tasks:
+                perm = rng.permutation(len(t.context_x))
+                shuffled.append(Task(t.context_x[perm], t.context_y[perm],
+                                     t.target_x, t.target_y))
+            for a, b in zip(base, model.forward_many(shuffled)):
+                assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
 
 class TestOnGrid:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convcnp import training
 from convcnp.models import CNPBaseline, CnnSpec, ConvCNP
 from convcnp.synthdata import ProcessSpec, sample_task
 from convcnp.training import (
@@ -174,3 +175,19 @@ class TestTrain:
 
         log, _, _ = train(TinyCNP(), tiny_config(), PROCESS)
         assert len(log.records) == 2
+
+    def test_non_finite_loss_names_the_failing_task_of_a_batch(self, monkeypatch):
+        config = tiny_config(batch_size=3)
+        bad_seed = derive_seed(config.seed, 1, 4)  # the second task of batch 2
+
+        def sample(process, seed):
+            task = sample_task(process, seed)
+            if seed == bad_seed:
+                task.target_y = np.full_like(task.target_y, 1e300)
+            return task
+
+        monkeypatch.setattr(training, "sample_task", sample)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as err:
+            train(tiny_model(), config, PROCESS)
+        message = str(err.value)
+        assert f"task seed {bad_seed}:" in message and "epoch 0" in message
