@@ -2,14 +2,15 @@
 
 A small tape-based engine in the micrograd style, but vectorized: each
 :class:`Node` wraps a numpy array, and every primitive records a
-vector-Jacobian product for the reverse pass.  Only the operations the
-models in this package need are provided; everything runs in float64 so
-finite-difference checks are reliable.
+vector-Jacobian product for the reverse pass.  Only parameter leaves, and
+nodes computed from them, take a gradient; any other node keeps no tape,
+so a forward pass over constants alone frees its intermediates as it goes.
+Only the operations the models in this package need are provided;
+everything runs in float64 so finite-difference checks are reliable.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass
 
@@ -21,26 +22,13 @@ class DiffError(ValueError):
     """Raised on shape mismatches, non-finite values, or invalid op arguments."""
 
 
-_recording = True
-
-
-@contextlib.contextmanager
-def no_tape():
-    """Build nodes without a tape: they keep no parents and no vjp.
-
-    For forward passes that never run backward, such as evaluation: each
-    intermediate array is freed as soon as the next op has consumed it.
-    """
-    global _recording
-    saved, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = saved
-
-
 class Node:
     """A value in the computation graph.
+
+    A node takes a gradient when it is built with ``needs_grad=True`` (the
+    parameter leaves of :meth:`ParameterStore.leaves`) or when any of its
+    parents takes one.  Only such nodes keep their parents and their vjp,
+    ``vjp(g, i)``, which returns the gradient for ``parents[i]``.
 
     ``grad`` accumulates across backward passes; callers reset it explicitly
     (``adam_step`` zeroes parameter gradients after each update).  It is
@@ -48,20 +36,17 @@ class Node:
     reaches cost no buffer.
     """
 
-    __slots__ = ("value", "_grad", "_parents", "_vjp")
+    __slots__ = ("value", "needs_grad", "_grad", "_parents", "_vjp")
 
-    def __init__(self, value, parents=(), vjp=None, op="const"):
+    def __init__(self, value, parents=(), vjp=None, op="const", needs_grad=False):
         value = np.asarray(value, dtype=np.float64)
         if not np.isfinite(value).all():
             raise DiffError(f"op '{op}' produced non-finite values")
         self.value = value
         self._grad = None
-        if _recording:
-            self._parents = tuple(parents)
-            self._vjp = vjp
-        else:
-            self._parents = ()
-            self._vjp = None
+        self.needs_grad = needs_grad or any(p.needs_grad for p in parents)
+        self._parents = tuple(parents) if self.needs_grad else ()
+        self._vjp = vjp if self.needs_grad else None
 
     @property
     def grad(self) -> np.ndarray:
@@ -105,7 +90,7 @@ def add(a: Node, b: Node) -> Node:
     return Node(
         a.value + b.value,
         (a, b),
-        lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
+        lambda g, i: _unbroadcast(g, (a, b)[i].value.shape),
         op="add",
     )
 
@@ -115,10 +100,7 @@ def mul(a: Node, b: Node) -> Node:
     return Node(
         a.value * b.value,
         (a, b),
-        lambda g: (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
-        ),
+        lambda g, i: _unbroadcast(g * (b, a)[i].value, (a, b)[i].value.shape),
         op="mul",
     )
 
@@ -129,9 +111,10 @@ def div(a: Node, b: Node) -> Node:
     return Node(
         a.value / b.value,
         (a, b),
-        lambda g: (
-            _unbroadcast(g / b.value, a.value.shape),
-            _unbroadcast(-g * a.value / b.value**2, b.value.shape),
+        lambda g, i: (
+            _unbroadcast(g / b.value, a.value.shape)
+            if i == 0
+            else _unbroadcast(-g * a.value / b.value**2, b.value.shape)
         ),
         op="div",
     )
@@ -145,38 +128,38 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(
         a.value @ b.value,
         (a, b),
-        lambda g: (g @ b.value.T, a.value.T @ g),
+        lambda g, i: g @ b.value.T if i == 0 else a.value.T @ g,
         op="matmul",
     )
 
 
 def relu(x: Node) -> Node:
     mask = x.value > 0
-    return Node(np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,), op="relu")
+    return Node(np.where(mask, x.value, 0.0), (x,), lambda g, i: g * mask, op="relu")
 
 
 def softplus(x: Node) -> Node:
     value = np.logaddexp(0.0, x.value)
     sig = special.expit(x.value)
-    return Node(value, (x,), lambda g: (g * sig,), op="softplus")
+    return Node(value, (x,), lambda g, i: g * sig, op="softplus")
 
 
 def exp(x: Node) -> Node:
     value = np.exp(x.value)
-    return Node(value, (x,), lambda g: (g * value,), op="exp")
+    return Node(value, (x,), lambda g, i: g * value, op="exp")
 
 
 def absolute(x: Node) -> Node:
-    return Node(np.abs(x.value), (x,), lambda g: (g * np.sign(x.value),), op="abs")
+    return Node(np.abs(x.value), (x,), lambda g, i: g * np.sign(x.value), op="abs")
 
 
 def reduce_sum(x: Node, axis=None, keepdims=False) -> Node:
     shape = x.value.shape
 
-    def vjp(g):
+    def vjp(g, i):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
+        return np.broadcast_to(g, shape).copy()
 
     return Node(x.value.sum(axis=axis, keepdims=keepdims), (x,), vjp, op="sum")
 
@@ -185,10 +168,10 @@ def reduce_mean(x: Node, axis=None, keepdims=False) -> Node:
     shape = x.value.shape
     count = x.value.size if axis is None else shape[axis]
 
-    def vjp(g):
+    def vjp(g, i):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape) / count,)
+        return np.broadcast_to(g, shape) / count
 
     return Node(x.value.mean(axis=axis, keepdims=keepdims), (x,), vjp, op="mean")
 
@@ -197,12 +180,11 @@ def concat(nodes, axis=0) -> Node:
     nodes = list(nodes)
     sizes = [n.value.shape[axis] for n in nodes]
     splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
     return Node(
-        np.concatenate([n.value for n in nodes], axis=axis), nodes, vjp, op="concat"
+        np.concatenate([n.value for n in nodes], axis=axis),
+        nodes,
+        lambda g, i: np.split(g, splits, axis=axis)[i],
+        op="concat",
     )
 
 
@@ -212,10 +194,10 @@ def narrow(x: Node, axis: int, start: int, length: int) -> Node:
     index[axis] = slice(start, start + length)
     index = tuple(index)
 
-    def vjp(g):
+    def vjp(g, i):
         out = np.zeros_like(x.value)
         out[index] = g
-        return (out,)
+        return out
 
     return Node(x.value[index], (x,), vjp, op="narrow")
 
@@ -225,7 +207,7 @@ def broadcast_to(x: Node, shape) -> Node:
     return Node(
         np.broadcast_to(x.value, shape).copy(),
         (x,),
-        lambda g: (_unbroadcast(g, x.value.shape),),
+        lambda g, i: _unbroadcast(g, x.value.shape),
         op="broadcast",
     )
 
@@ -251,11 +233,9 @@ def gaussian_log_pdf(y, mu: Node, sigma: Node) -> Node:
         )
     value = gaussian_ll(y, mu.value, sigma.value)
 
-    def vjp(g):
+    def vjp(g, i):
         z = (y - mu.value) / sigma.value
-        dmu = g * z / sigma.value
-        dsigma = g * (z**2 - 1.0) / sigma.value
-        return (dmu, dsigma)
+        return g * z / sigma.value if i == 0 else g * (z**2 - 1.0) / sigma.value
 
     return Node(value, (mu, sigma), vjp, op="gaussian_log_pdf")
 
@@ -331,18 +311,18 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
         out = out + bias.value.reshape((c_out,) + (1,) * nd)
         parents.append(bias)
 
-    def vjp(g):
+    def vjp(g, i):
+        if i == 2:
+            return g.sum(axis=tuple(range(1, nd + 1)))
         gm = g.reshape(groups, c_out // groups, -1)
-        dw = np.matmul(gm, im2col().transpose(0, 2, 1)).reshape(w.value.shape)
+        if i == 1:
+            return np.matmul(gm, im2col().transpose(0, 2, 1)).reshape(w.value.shape)
         dcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(c_in, *taps, *spatial)
         dxp = np.zeros_like(xp)
         for tap in np.ndindex(*taps):
             window = tuple(slice(t, t + n) for t, n in zip(tap, spatial))
             dxp[(slice(None),) + window] += dcols[(slice(None),) + tap]
-        grads = [_unpad(dxp, pad, padding), dw]
-        if bias is not None:
-            grads.append(g.sum(axis=tuple(range(1, nd + 1))))
-        return tuple(grads)
+        return _unpad(dxp, pad, padding)
 
     return Node(out, parents, vjp, op=op)
 
@@ -384,10 +364,16 @@ def backward(loss: Node) -> None:
     """Reverse accumulation from a scalar loss.
 
     Gradients add into ``.grad``; calling twice without zeroing accumulates.
-    Each node's vjp runs exactly once, in reverse topological order.
+    Nodes are visited once each, in reverse topological order, and a vjp
+    runs only for the parents that take a gradient.
     """
     if loss.value.size != 1:
         raise DiffError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+    if not loss.needs_grad:
+        raise DiffError(
+            "backward: the loss takes no gradient; pass parameter leaves "
+            "(ParameterStore.leaves()) to the forward pass"
+        )
     order = []
     seen = set()
     stack = [(loss, False)]
@@ -401,15 +387,13 @@ def backward(loss: Node) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.needs_grad and id(parent) not in seen:
                 stack.append((parent, False))
     _add_grad(loss, np.ones_like(loss.value))
     for node in reversed(order):
-        if node._vjp is None:
-            continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            _add_grad(parent, g)
+        for i, parent in enumerate(node._parents):
+            if parent.needs_grad:
+                _add_grad(parent, node._vjp(node._grad, i))
 
 
 def _add_grad(node: Node, g) -> None:
@@ -465,7 +449,11 @@ class ParameterStore:
         return sum(p.value.size for p in self._params.values())
 
     def leaves(self) -> dict[str, Node]:
-        """Fresh leaf nodes sharing the current parameter values."""
+        """Fresh parameter leaves sharing the current values; they take gradients."""
+        return {name: Node(p.value, needs_grad=True) for name, p in self._params.items()}
+
+    def constants(self) -> dict[str, Node]:
+        """Leaves sharing the current values that take no gradient, so keep no tape."""
         return {name: Node(p.value) for name, p in self._params.items()}
 
     def accumulate(self, leaves: dict[str, Node]) -> None:
@@ -522,7 +510,8 @@ def grad_check(builder, store: ParameterStore, step: float = 1e-5) -> float:
     deterministic.  Relative error per element is
     |analytic - fd| / max(1e-6, |fd|, |analytic|); the absolute guard keeps
     central-difference roundoff noise (~|loss| * eps / step) from dominating
-    elements whose true gradient is near zero.
+    elements whose true gradient is near zero.  The finite-difference
+    forwards run on :meth:`ParameterStore.constants` and keep no tape.
     """
     leaves = store.leaves()
     loss = builder(leaves)
@@ -535,9 +524,9 @@ def grad_check(builder, store: ParameterStore, step: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = float(builder(store.leaves()).value)
+            hi = float(builder(store.constants()).value)
             flat[i] = orig - step
-            lo = float(builder(store.leaves()).value)
+            lo = float(builder(store.constants()).value)
             flat[i] = orig
             fd = (hi - lo) / (2.0 * step)
             ana = analytic[name].reshape(-1)[i]

@@ -37,10 +37,6 @@ class UniformGrid:
     def points(self) -> np.ndarray:
         return self.lower + np.arange(self.n_points) * self.spacing
 
-    @property
-    def upper(self) -> float:
-        return self.lower + (self.n_points - 1) * self.spacing
-
 
 def make_grid(context_xs, target_xs, gamma: float, margin: float = 0.0) -> UniformGrid:
     """Anchored uniform grid of density ``gamma`` covering all inputs plus margin."""

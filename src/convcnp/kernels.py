@@ -20,11 +20,10 @@ class EQ:
     """Exponentiated-quadratic kernel exp(-0.5 ((x-x')/l)^2)."""
 
     length_scale: float = 0.25
-    amplitude: float = 1.0
 
     def __call__(self, x, x2):
         d = np.subtract.outer(np.asarray(x, float), np.asarray(x2, float))
-        return self.amplitude * np.exp(-0.5 * (d / self.length_scale) ** 2)
+        return np.exp(-0.5 * (d / self.length_scale) ** 2)
 
 
 @dataclass(frozen=True)

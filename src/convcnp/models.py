@@ -230,7 +230,7 @@ class ConvCNP:
         the batched matmuls.
         """
         if leaves is None:
-            leaves = self.params.leaves()
+            leaves = self.params.constants()
         grids = [make_grid(t.context_x, t.target_x, self.gamma, self.margin) for t in tasks]
         pieces = [
             embed(t.context_x, t.context_y, grid, leaves["encoder.log_length_scale"],
@@ -321,7 +321,7 @@ class CNPBaseline:
         target its task's representation.
         """
         if leaves is None:
-            leaves = self.params.leaves()
+            leaves = self.params.constants()
         inputs, targets, n_ctx, n_tgt = [], [], [], []
         for task in tasks:
             ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
@@ -427,7 +427,7 @@ class ConvCNPOnGrid:
     def encode(self, image, context_mask, leaves=None) -> ad.Node:
         """Density channel plus density-normalized smoothed signal channels."""
         if leaves is None:
-            leaves = self.params.leaves()
+            leaves = self.params.constants()
         image = np.asarray(image, float)
         if image.ndim != self.ndim + 1 or image.shape[0] != self.channels:
             raise ValueError(
@@ -452,7 +452,7 @@ class ConvCNPOnGrid:
 
     def forward(self, image, context_mask, target_mask, leaves=None) -> GridPredictive:
         if leaves is None:
-            leaves = self.params.leaves()
+            leaves = self.params.constants()
         image = np.asarray(image, float)
         target_mask = _check_mask(target_mask, "target_mask")
         if target_mask.shape != image.shape[1:]:

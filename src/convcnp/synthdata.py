@@ -61,17 +61,6 @@ class Task:
             "target_y": self.target_y.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Task":
-        return cls(
-            context_x=np.asarray(doc["context_x"], float),
-            context_y=np.asarray(doc["context_y"], float),
-            target_x=np.asarray(doc["target_x"], float),
-            target_y=np.asarray(doc["target_y"], float),
-            process=doc.get("process", ""),
-            seed=int(doc.get("seed", 0)),
-        )
-
 
 def gp_sample(spec, xs, seed=None, rng=None) -> np.ndarray:
     """Draw one zero-mean GP realization at locations ``xs``."""
@@ -124,13 +113,6 @@ class LVTrajectory:
 
 LV_RATES = (0.01, 0.5, 1.0, 0.01)
 _FIRST_BLOCK, _MAX_BLOCK = 32, 4096  # uniforms per rng.random() call
-
-
-def lv_total_rate(theta, x: int, y: int) -> float:
-    """Total event rate t1*X*Y + t2*X + t3*Y + t4*X*Y, summed as in ``gillespie_lv``."""
-    t1, t2, t3, t4 = theta
-    xy = x * y
-    return t1 * xy + t2 * x + t3 * y + t4 * xy
 
 
 def _uniform_pairs(rng):

@@ -90,17 +90,17 @@ _EVAL_CHUNK = 8  # tasks per batched forward in evaluate
 def evaluate(model, tasks) -> EvalSummary:
     """Per-task mean target log likelihood and mean prediction error.
 
-    Tasks go through ``forward_many`` in chunks, with no tape kept.
+    Tasks go through ``forward_many`` in chunks, without parameter leaves,
+    so no tape is kept.
     """
     if not tasks:
         raise ValueError("evaluate: no tasks")
     lls, mses = [], []
-    with ad.no_tape():
-        for i in range(0, len(tasks), _EVAL_CHUNK):
-            chunk = tasks[i : i + _EVAL_CHUNK]
-            for task, pred in zip(chunk, model.forward_many(chunk)):
-                lls.append(log_likelihood_per_point(pred, task.target_y))
-                mses.append(float(np.mean((pred.mean - task.target_y) ** 2)))
+    for i in range(0, len(tasks), _EVAL_CHUNK):
+        chunk = tasks[i : i + _EVAL_CHUNK]
+        for task, pred in zip(chunk, model.forward_many(chunk)):
+            lls.append(log_likelihood_per_point(pred, task.target_y))
+            mses.append(float(np.mean((pred.mean - task.target_y) ** 2)))
     lls = np.asarray(lls)
     mses = np.asarray(mses)
     return EvalSummary(
@@ -147,7 +147,7 @@ def train(model, config: TrainConfig, process: ProcessSpec):
                 preds = model.forward_many(tasks, leaves=leaves)
                 losses = [nll_loss(p, t.target_y) for p, t in zip(preds, tasks)]
             except ad.DiffError as err:
-                _raise_naming_task(model, leaves, tasks, epoch, err)
+                _raise_naming_task(model, tasks, epoch, err)
             batch_loss = losses[0]
             for extra in losses[1:]:
                 batch_loss = ad.add(batch_loss, extra)
@@ -186,16 +186,15 @@ def train(model, config: TrainConfig, process: ProcessSpec):
     return log, best_state, last_state
 
 
-def _raise_naming_task(model, leaves, tasks, epoch, err):
+def _raise_naming_task(model, tasks, epoch, err):
     """A batch failed as a whole: name the first of its tasks that fails alone."""
-    with ad.no_tape():
-        for task in tasks:
-            try:
-                nll_loss(model.forward(task, leaves=leaves), task.target_y)
-            except ad.DiffError as task_err:
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, task seed {task.seed}: {task_err}"
-                ) from task_err
+    for task in tasks:
+        try:
+            nll_loss(model.forward(task), task.target_y)
+        except ad.DiffError as task_err:
+            raise RuntimeError(
+                f"non-finite loss at epoch {epoch}, task seed {task.seed}: {task_err}"
+            ) from task_err
     raise RuntimeError(
         f"non-finite loss at epoch {epoch}, task seeds {[t.seed for t in tasks]}: {err}"
     ) from err

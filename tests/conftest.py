@@ -29,8 +29,8 @@ _CONV_CASES = {
 }
 
 
-def primitive_grad_error(op: str, seed: int, step: float = 1e-5) -> float:
-    """Finite-difference check of one primitive embedded in a scalar loss.
+def primitive_case(op: str, seed: int):
+    """One primitive embedded in a scalar loss: ``(builder, store)``.
 
     Inputs are drawn away from non-differentiable points (relu/abs kinks,
     div singularities) so the central-difference oracle is valid.
@@ -93,8 +93,12 @@ def primitive_grad_error(op: str, seed: int, step: float = 1e-5) -> float:
         )
     else:
         raise ValueError(op)
+    return builder, store
 
-    return ad.grad_check(builder, store, step=step)
+
+def primitive_grad_error(op: str, seed: int, step: float = 1e-5) -> float:
+    """Finite-difference check of one primitive embedded in a scalar loss."""
+    return ad.grad_check(*primitive_case(op, seed), step=step)
 
 
 @pytest.fixture

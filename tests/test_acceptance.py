@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import PRIMITIVE_OPS, primitive_grad_error
+from reference_gillespie import lv_total_rate
 from convcnp import autodiff as ad
 from convcnp.cli import main as cli_main
 from convcnp.embedding import embed, make_grid
@@ -26,7 +27,6 @@ from convcnp.synthdata import (
     gillespie_lv,
     gp_sample,
     lv_to_task,
-    lv_total_rate,
     make_rng,
     RejectedTrajectory,
     LVTrajectory,

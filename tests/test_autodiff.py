@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convcnp import autodiff as ad
-from conftest import PRIMITIVE_OPS, primitive_grad_error
+from conftest import PRIMITIVE_OPS, primitive_case, primitive_grad_error
 
 
 def test_softplus_at_zero():
@@ -31,13 +31,13 @@ def test_gaussian_log_pdf_rejects_nonpositive_sigma():
 
 
 def test_backward_sum_gives_ones():
-    x = ad.constant(np.random.default_rng(0).normal(size=(3, 5)))
+    x = ad.Node(np.random.default_rng(0).normal(size=(3, 5)), needs_grad=True)
     ad.backward(ad.reduce_sum(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 5)))
 
 
 def test_backward_quadratic():
-    x = ad.constant(np.array([1.0, 2.0]))
+    x = ad.Node(np.array([1.0, 2.0]), needs_grad=True)
     ad.backward(ad.reduce_sum(ad.mul(x, x)))
     np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
@@ -49,13 +49,13 @@ def test_backward_requires_scalar():
 
 
 def test_backward_accumulates_without_reset():
-    x = ad.constant(np.array([3.0]))
+    x = ad.Node(np.array([3.0]), needs_grad=True)
     loss = ad.reduce_sum(ad.mul(x, x))
     ad.backward(loss)
     first = x.grad.copy()
     loss2 = ad.reduce_sum(ad.mul(x, x))
     # fresh graph over the same leaf: gradients add
-    loss2._parents[0]._parents  # noqa: B018 - graph exists
+    assert loss2._parents[0]._parents == (x, x)
     ad.backward(loss2)
     np.testing.assert_allclose(x.grad, 2 * first)
 
@@ -77,6 +77,17 @@ def test_random_three_op_graph_matches_finite_differences():
 def test_primitive_gradients(op):
     worst = max(primitive_grad_error(op, seed) for seed in range(5))
     assert worst < 1e-5
+    # each parameter's gradient is the same, bit for bit, when it alone takes
+    # one; the other parents then stay constants that backward never touches
+    builder, store = primitive_case(op, seed=0)
+    every = store.leaves()
+    ad.backward(builder(every))
+    for name in store.names():
+        alone = store.constants()
+        alone[name] = ad.Node(store[name].value, needs_grad=True)
+        ad.backward(builder(alone))
+        np.testing.assert_array_equal(alone[name].grad, every[name].grad)
+        assert all(alone[other]._grad is None for other in alone if other != name)
 
 
 def test_shape_mismatch_names_op_and_shapes():
@@ -87,8 +98,9 @@ def test_shape_mismatch_names_op_and_shapes():
 
 
 def test_nonfinite_forward_is_an_error():
-    with np.errstate(over="ignore"), pytest.raises(ad.DiffError):
-        ad.exp(ad.constant(np.array([1e4])))
+    x = ad.Node(np.array([1e4]), needs_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'exp'"):
+        ad.exp(x)
 
 
 @pytest.mark.parametrize("padding", ["zeros", "circular"])
@@ -118,8 +130,8 @@ def test_conv2d_circular_shift_equivariance():
 def test_reverse_pass_deterministic():
     def run():
         rng = np.random.default_rng(7)
-        x = ad.constant(rng.normal(size=(2, 9)))
-        w = ad.constant(rng.normal(size=(4, 2, 3)))
+        x = ad.Node(rng.normal(size=(2, 9)), needs_grad=True)
+        w = ad.Node(rng.normal(size=(4, 2, 3)), needs_grad=True)
         out = ad.conv1d(x, w)
         ad.backward(ad.reduce_sum(ad.mul(out, out)))
         return x.grad.copy(), w.grad.copy()
@@ -224,14 +236,14 @@ class TestCheckpoint:
 
 
 def test_unreached_node_grad_reads_zeros():
-    x = ad.constant(np.ones((2, 3)))
-    unused = ad.constant(np.full(4, 2.0))
+    x = ad.Node(np.ones((2, 3)), needs_grad=True)
+    unused = ad.Node(np.full(4, 2.0), needs_grad=True)
     ad.backward(ad.reduce_sum(x))
     np.testing.assert_array_equal(unused.grad, np.zeros(4))
 
 
 def test_two_backward_calls_accumulate_without_touching_the_first():
-    x = ad.constant(np.array([1.0, -2.0]))
+    x = ad.Node(np.array([1.0, -2.0]), needs_grad=True)
     ad.backward(ad.reduce_sum(ad.mul(x, x)))
     first = x.grad  # kept as the first pass stored it, not copied
     ad.backward(ad.reduce_sum(ad.mul(x, ad.constant(np.array([3.0, 5.0])))))
@@ -239,16 +251,24 @@ def test_two_backward_calls_accumulate_without_touching_the_first():
     np.testing.assert_array_equal(x.grad, [5.0, 1.0])
 
 
-def test_no_tape_keeps_no_parents():
+def test_constant_nodes_keep_no_parents():
     x = ad.constant(np.ones(3))
-    with ad.no_tape():
-        y = ad.mul(ad.exp(x), x)
-    assert y._parents == () and y._vjp is None
-    z = ad.mul(x, x)  # recording resumes after the context
-    assert z._parents == (x, x)
+    y = ad.mul(ad.exp(x), x)
+    assert not y.needs_grad and y._parents == () and y._vjp is None
+    p = ad.Node(np.ones(3), needs_grad=True)
+    z = ad.mul(y, p)  # one parent that takes a gradient is enough
+    assert z.needs_grad and z._parents == (y, p)
+
+
+def test_backward_refuses_a_loss_without_gradient():
+    loss = ad.reduce_sum(ad.mul(ad.constant(np.ones(3)), ad.constant(np.ones(3))))
+    with pytest.raises(ad.DiffError, match="takes no gradient.*parameter leaves"):
+        ad.backward(loss)
 
 
 def test_nonfinite_under_no_tape_names_the_op():
-    with ad.no_tape(), np.errstate(over="ignore"):
-        with pytest.raises(ad.DiffError, match="op 'exp'"):
-            ad.exp(ad.constant(np.array([1e4])))
+    # a node over constants records no tape, yet its finite check still runs
+    x = ad.mul(ad.constant(np.array([1e2])), ad.constant(np.array([1e2])))
+    assert not x.needs_grad and x._parents == ()
+    with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'exp'"):
+        ad.exp(x)

@@ -16,7 +16,7 @@ SHAPES = {1: (3, 11), 2: (3, 7, 9)}  # non-square 2-D input
 
 def _tape_conv(x, w, bias, padding, groups, g):
     """Value and gradients of one conv through the tape, seeded with ``g``."""
-    leaves = [ad.constant(a) for a in (x, w, bias) if a is not None]
+    leaves = [ad.Node(a, needs_grad=True) for a in (x, w, bias) if a is not None]
     conv = ad.conv1d if x.ndim == 2 else ad.conv2d
     out = conv(*leaves, padding=padding, groups=groups)
     ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))

@@ -27,7 +27,7 @@ class TestMakeGrid:
 
     def test_margin_extends_cover(self):
         grid = make_grid([0.0], [1.0], gamma=4.0, margin=0.5)
-        assert grid.lower <= -0.5 and grid.upper >= 1.5
+        assert grid.lower <= -0.5 and grid.points[-1] >= 1.5
 
     def test_grid_covers_all_inputs(self):
         rng = np.random.default_rng(0)
@@ -36,7 +36,7 @@ class TestMakeGrid:
             tgt = rng.uniform(-3, 3, size=4)
             grid = make_grid(ctx, tgt, gamma=16.0)
             assert grid.lower <= min(ctx.min(), tgt.min())
-            assert grid.upper >= max(ctx.max(), tgt.max())
+            assert grid.points[-1] >= max(ctx.max(), tgt.max())
 
     def test_translation_by_spacing_multiple_shifts_points_exactly(self):
         rng = np.random.default_rng(1)

@@ -352,6 +352,8 @@ class TestForwardMany:
         task = tiny_task(14, n_ctx=7, n_tgt=5)
         a, b = model.forward(task), model.forward_many([task])[0]
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+        # without parameter leaves nothing takes a gradient, so no tape is kept
+        assert a.mu._parents == () and b.mu._parents == () and b.sigma._parents == ()
 
     @pytest.mark.parametrize(
         "model", [ConvCNP(gamma=32.0, init_seed=7), CNPBaseline(init_seed=7)],
@@ -360,6 +362,7 @@ class TestForwardMany:
     def test_context_permutation_inside_a_batch_is_bit_exact(self, model):
         tasks = [tiny_task(seed, n_ctx=9, n_tgt=4) for seed in (15, 16, 17)]
         base = model.forward_many(tasks)
+        assert all(p.mu._parents == () and p.sigma._parents == () for p in base)
         rng = np.random.default_rng(8)
         for _ in range(3):
             shuffled = []
@@ -385,8 +388,9 @@ class TestOnGrid:
         c = 1.7
         image = np.full((1, 8, 8), c)
         mask = np.ones((8, 8))
-        h = model.encode(image, mask).value
-        np.testing.assert_allclose(h[1], c, rtol=1e-6)
+        h = model.encode(image, mask)
+        assert h._parents == ()
+        np.testing.assert_allclose(h.value[1], c, rtol=1e-6)
 
     def test_empty_mask_gives_zero_channels(self):
         model = self.make()
@@ -401,6 +405,7 @@ class TestOnGrid:
         mask = (rng.random((8, 10)) < 0.4).astype(float)
         target = 1.0 - mask
         base = model.forward(image, mask, target)
+        assert base.mu._parents == () and base.sigma._parents == ()
         s1, s2 = 3, 5
         shifted = model.forward(
             np.roll(image, (s1, s2), axis=(1, 2)),
