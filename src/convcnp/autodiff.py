@@ -54,10 +54,6 @@ class Node:
             self._grad = np.zeros_like(self.value)
         return self._grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def constant(value) -> Node:
     """Wrap an array as a leaf with no parents."""
@@ -142,11 +138,6 @@ def softplus(x: Node) -> Node:
     value = np.logaddexp(0.0, x.value)
     sig = special.expit(x.value)
     return Node(value, (x,), lambda g, i: g * sig, op="softplus")
-
-
-def exp(x: Node) -> Node:
-    value = np.exp(x.value)
-    return Node(value, (x,), lambda g, i: g * value, op="exp")
 
 
 def absolute(x: Node) -> Node:
@@ -406,38 +397,39 @@ def _add_grad(node: Node, g) -> None:
 
 @dataclass
 class Param:
+    """One parameter's views into the store's flat value and gradient vectors."""
+
     value: np.ndarray
     grad: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
 
 
 class ParameterStore:
-    """Named, shaped trainable arrays with gradient and Adam moment slots.
+    """Named, shaped trainable arrays in four flat float64 vectors.
 
-    Iteration order is insertion order and therefore deterministic.
+    ``value``, ``grad`` and the Adam moments ``m`` and ``v`` hold every
+    parameter end to end, in the order of the dict the store is built from;
+    each :class:`Param` views its slice of ``value`` and ``grad`` in its own
+    shape.  ``step`` counts Adam updates.
     """
 
-    def __init__(self):
+    def __init__(self, arrays: dict):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        self.value = np.concatenate([a.ravel() for a in arrays.values()])
+        self.grad = np.zeros_like(self.value)
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
+        self.step = 0
         self._params: dict[str, Param] = {}
-
-    def add(self, name: str, value) -> None:
-        if name in self._params:
-            raise DiffError(f"duplicate parameter name '{name}'")
-        value = np.array(value, dtype=np.float64)
-        self._params[name] = Param(
-            value=value,
-            grad=np.zeros_like(value),
-            m=np.zeros_like(value),
-            v=np.zeros_like(value),
-        )
+        start = 0
+        for name, a in arrays.items():
+            end = start + a.size
+            self._params[name] = Param(
+                self.value[start:end].reshape(a.shape), self.grad[start:end].reshape(a.shape)
+            )
+            start = end
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def names(self):
         return list(self._params)
@@ -446,7 +438,7 @@ class ParameterStore:
         return self._params.items()
 
     def n_parameters(self) -> int:
-        return sum(p.value.size for p in self._params.values())
+        return self.value.size
 
     def leaves(self) -> dict[str, Node]:
         """Fresh parameter leaves sharing the current values; they take gradients."""
@@ -465,14 +457,21 @@ class ParameterStore:
         return {name: p.value.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Write a full state; nothing is written unless every name and shape fits."""
+        if state.keys() != self._params.keys():
+            raise DiffError(
+                f"state does not match the parameters: missing "
+                f"{sorted(self._params.keys() - state.keys())}, unknown "
+                f"{sorted(state.keys() - self._params.keys())}"
+            )
         for name, value in state.items():
-            p = self._params[name]
-            if p.value.shape != np.asarray(value).shape:
+            if np.shape(value) != self._params[name].value.shape:
                 raise DiffError(
-                    f"parameter '{name}': shape {np.asarray(value).shape} != "
-                    f"{p.value.shape}"
+                    f"parameter '{name}': shape {np.shape(value)} != "
+                    f"{self._params[name].value.shape}"
                 )
-            p.value[...] = value
+        for name, value in state.items():
+            self._params[name].value[...] = value
 
 
 def adam_step(
@@ -487,20 +486,25 @@ def adam_step(
 
     Weight decay shrinks the value before the Adam delta is applied.
     Gradients are zeroed afterward; accumulation across batches happens
-    before this call, never implicitly inside it.
+    before this call, never implicitly inside it.  Every pass runs in place
+    over the store's flat vectors, with two temporary vectors.
     """
     if lr <= 0:
         raise DiffError(f"adam_step: lr must be positive, got {lr}")
-    for p in store._params.values():
-        if weight_decay:
-            p.value -= lr * weight_decay * p.value
-        p.step += 1
-        p.m = beta1 * p.m + (1.0 - beta1) * p.grad
-        p.v = beta2 * p.v + (1.0 - beta2) * p.grad**2
-        m_hat = p.m / (1.0 - beta1**p.step)
-        v_hat = p.v / (1.0 - beta2**p.step)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        p.grad[...] = 0.0
+    a = np.empty_like(store.value)
+    if weight_decay:  # skipped at 0: x - 0 * x would turn -0.0 into +0.0
+        store.value -= np.multiply(store.value, lr * weight_decay, out=a)
+    store.step += 1
+    store.m *= beta1
+    store.m += np.multiply(store.grad, 1.0 - beta1, out=a)
+    store.v *= beta2
+    store.v += np.multiply(np.square(store.grad, out=a), 1.0 - beta2, out=a)
+    m_hat = np.divide(store.m, 1.0 - beta1**store.step, out=a)
+    denom = np.divide(store.v, 1.0 - beta2**store.step)  # v_hat, then sqrt(v_hat) + eps
+    np.sqrt(denom, out=denom)
+    denom += eps
+    store.value -= np.divide(np.multiply(m_hat, lr, out=a), denom, out=a)
+    store.grad[...] = 0.0
 
 
 def grad_check(builder, store: ParameterStore, step: float = 1e-5) -> float:
@@ -514,24 +518,21 @@ def grad_check(builder, store: ParameterStore, step: float = 1e-5) -> float:
     forwards run on :meth:`ParameterStore.constants` and keep no tape.
     """
     leaves = store.leaves()
-    loss = builder(leaves)
-    backward(loss)
-    analytic = {name: node.grad.copy() for name, node in leaves.items()}
+    backward(builder(leaves))
+    analytic = np.concatenate([node.grad.ravel() for node in leaves.values()])
 
     worst = 0.0
-    for name, p in store.items():
-        flat = p.value.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(builder(store.constants()).value)
-            flat[i] = orig - step
-            lo = float(builder(store.constants()).value)
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
-            ana = analytic[name].reshape(-1)[i]
-            err = abs(ana - fd) / max(1e-6, abs(fd), abs(ana))
-            worst = max(worst, err)
+    flat = store.value
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = float(builder(store.constants()).value)
+        flat[i] = orig - step
+        lo = float(builder(store.constants()).value)
+        flat[i] = orig
+        fd = (hi - lo) / (2.0 * step)
+        err = abs(analytic[i] - fd) / max(1e-6, abs(fd), abs(analytic[i]))
+        worst = max(worst, err)
     return worst
 
 
@@ -556,23 +557,14 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 
 def load_checkpoint(store: ParameterStore, path) -> None:
-    """Load a checkpoint, validating names and shapes against ``store``."""
+    """Load a checkpoint; :meth:`ParameterStore.load_state_dict` checks it first."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise DiffError(f"unsupported checkpoint version {doc.get('format_version')}")
-    names = set()
-    for entry in doc["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in store:
-            raise DiffError(f"checkpoint parameter '{name}' not in model")
-        p = store[name]
-        if p.value.shape != shape:
-            raise DiffError(
-                f"checkpoint parameter '{name}': shape {shape} != {p.value.shape}"
-            )
-        p.value[...] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
-        names.add(name)
-    missing = set(store.names()) - names
-    if missing:
-        raise DiffError(f"checkpoint missing parameters: {sorted(missing)}")
+    store.load_state_dict(
+        {
+            entry["name"]: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for entry in doc["params"]
+        }
+    )

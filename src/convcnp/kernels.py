@@ -98,18 +98,26 @@ def cholesky_with_jitter(matrix):
             jitter *= 10.0
 
 
-def init_log_length_scale(gamma: float, dim: int = 1) -> float:
-    """Initial log length scale: twice the grid spacing 1/gamma^(1/dim)."""
-    return float(np.log(2.0 / gamma ** (1.0 / dim)))
+def init_log_length_scale(gamma: float) -> float:
+    """Initial log length scale: twice the grid spacing 1/gamma."""
+    return float(np.log(2.0 / gamma))
 
 
 def learnable_psi_eval(log_length_scale: ad.Node, distances) -> ad.Node:
     """Differentiable EQ weights exp(-0.5 (d / l)^2), l = exp(log_length_scale).
 
-    Gradient flows to the log length scale; ``distances`` is held fixed.
+    One tape node; gradient flows to the log length scale, and ``distances``
+    is held fixed.
     """
-    d2 = ad.constant(np.asarray(distances, float) ** 2)
-    inv_l2 = ad.exp(
-        ad.mul(log_length_scale, ad.constant(np.asarray(-2.0)))
-    )  # 1 / l^2
-    return ad.exp(ad.mul(d2, ad.mul(inv_l2, ad.constant(np.asarray(-0.5)))))
+    d2 = np.asarray(distances, float) ** 2
+    inv_l2 = np.exp(log_length_scale.value * -2.0)  # 1 / l^2
+    exponent = d2 * (inv_l2 * -0.5)
+    if not np.isfinite(exponent).all():
+        raise ad.DiffError("op 'psi' produced non-finite values")
+    psi = np.exp(exponent)
+    return ad.Node(
+        psi,
+        (log_length_scale,),
+        lambda g, i: ((np.sum(g * psi * d2) * -0.5) * inv_l2) * -2.0,
+        op="psi",
+    )

@@ -68,8 +68,8 @@ def _he_init(rng, shape, fan_in):
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-def _init_cnn_params(store, prefix, spec: CnnSpec, in_channels: int, rng, ndim=1):
-    """Register conv weights/biases for a CnnSpec; returns nothing."""
+def _init_cnn_params(params: dict, prefix, spec: CnnSpec, in_channels: int, rng, ndim=1):
+    """Add a CnnSpec's conv weights and biases to ``params``, in layer order."""
     k = spec.kernel_size
     kshape = (k,) if ndim == 1 else (k, k)
     ksize = k**ndim
@@ -79,20 +79,13 @@ def _init_cnn_params(store, prefix, spec: CnnSpec, in_channels: int, rng, ndim=1
         if i in spec.skips:
             c_in = sum(widths[j] for j in spec.skips[i])
         if spec.separable and k > 1:
-            store.add(
-                f"{prefix}.l{i}.dw",
-                _he_init(rng, (c_in, 1) + kshape, ksize),
-            )
-            store.add(
-                f"{prefix}.l{i}.pw",
-                _he_init(rng, (c_out, c_in) + (1,) * ndim, c_in),
-            )
+            params[f"{prefix}.l{i}.dw"] = _he_init(rng, (c_in, 1) + kshape, ksize)
+            params[f"{prefix}.l{i}.pw"] = _he_init(rng, (c_out, c_in) + (1,) * ndim, c_in)
         else:
-            store.add(
-                f"{prefix}.l{i}.weight",
-                _he_init(rng, (c_out, c_in) + kshape, c_in * ksize),
+            params[f"{prefix}.l{i}.weight"] = _he_init(
+                rng, (c_out, c_in) + kshape, c_in * ksize
             )
-        store.add(f"{prefix}.l{i}.bias", np.zeros(c_out))
+        params[f"{prefix}.l{i}.bias"] = np.zeros(c_out)
         widths[i] = c_out
         c_in = c_out
 
@@ -209,11 +202,13 @@ class ConvCNP:
         self.multiplicity = multiplicity
         self.in_channels = 1 + multiplicity * dim_y
 
-        self.params = ad.ParameterStore()
-        self.params.add("encoder.log_length_scale", init_log_length_scale(self.gamma))
-        self.params.add("readout.log_length_scale", init_log_length_scale(self.gamma))
+        params = {
+            "encoder.log_length_scale": init_log_length_scale(self.gamma),
+            "readout.log_length_scale": init_log_length_scale(self.gamma),
+        }
         rng = make_rng(init_seed, 0xC0)
-        _init_cnn_params(self.params, "cnn", self.cnn, self.in_channels, rng, ndim=1)
+        _init_cnn_params(params, "cnn", self.cnn, self.in_channels, rng, ndim=1)
+        self.params = ad.ParameterStore(params)
 
     def forward(self, task: Task, leaves=None) -> PredictiveDistribution:
         return self.forward_many([task], leaves)[0]
@@ -280,22 +275,15 @@ class CNPBaseline:
     def __init__(self, dim_y: int = 1, init_seed: int = 0):
         self.dim_y = dim_y
         h = self.HIDDEN
-        self.params = ad.ParameterStore()
         rng = make_rng(init_seed, 0xC1)
-        dims_enc = [1 + dim_y, h, h, h]
-        for i in range(3):
-            self.params.add(
-                f"enc.l{i + 1}.weight",
-                _he_init(rng, (dims_enc[i + 1], dims_enc[i]), dims_enc[i]),
-            )
-            self.params.add(f"enc.l{i + 1}.bias", np.zeros((dims_enc[i + 1], 1)))
-        dims_dec = [1 + h, h, h, 2 * dim_y]
-        for i in range(3):
-            self.params.add(
-                f"dec.l{i + 1}.weight",
-                _he_init(rng, (dims_dec[i + 1], dims_dec[i]), dims_dec[i]),
-            )
-            self.params.add(f"dec.l{i + 1}.bias", np.zeros((dims_dec[i + 1], 1)))
+        params = {}
+        for prefix, dims in (("enc", [1 + dim_y, h, h, h]), ("dec", [1 + h, h, h, 2 * dim_y])):
+            for i in range(1, 4):
+                params[f"{prefix}.l{i}.weight"] = _he_init(
+                    rng, (dims[i], dims[i - 1]), dims[i - 1]
+                )
+                params[f"{prefix}.l{i}.bias"] = np.zeros((dims[i], 1))
+        self.params = ad.ParameterStore(params)
 
     def _mlp(self, prefix, x, leaves):
         h = x
@@ -409,20 +397,14 @@ class ConvCNPOnGrid:
         self.eps = eps
         self.cnn = replace(cnn or CnnSpec(channels=(16, 32, 16)), separable=separable)
 
-        self.params = ad.ParameterStore()
         rng = make_rng(init_seed, 0xC2)
         kshape = (1, 1) + (smoothing_kernel_size,) * ndim
-        self.params.add(
-            "encoder.weight", np.abs(_he_init(rng, kshape, smoothing_kernel_size**ndim))
-        )
-        _init_cnn_params(
-            self.params, "cnn", self.cnn, 1 + channels, rng, ndim=ndim
-        )
+        params = {"encoder.weight": np.abs(_he_init(rng, kshape, smoothing_kernel_size**ndim))}
+        _init_cnn_params(params, "cnn", self.cnn, 1 + channels, rng, ndim=ndim)
         head_shape = (2 * channels, self.cnn.channels[-1]) + (1,) * ndim
-        self.params.add(
-            "head.weight", _he_init(rng, head_shape, self.cnn.channels[-1])
-        )
-        self.params.add("head.bias", np.zeros(2 * channels))
+        params["head.weight"] = _he_init(rng, head_shape, self.cnn.channels[-1])
+        params["head.bias"] = np.zeros(2 * channels)
+        self.params = ad.ParameterStore(params)
 
     def encode(self, image, context_mask, leaves=None) -> ad.Node:
         """Density channel plus density-normalized smoothed signal channels."""

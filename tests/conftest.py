@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from convcnp import autodiff as ad
-
-
-def _store_with(arrays):
-    store = ad.ParameterStore()
-    for name, value in arrays.items():
-        store.add(name, value)
-    return store
+from convcnp.kernels import learnable_psi_eval
 
 
 PRIMITIVE_OPS = [
     "add", "mul", "div", "matmul", "conv1d", "conv2d", "relu",
-    "softplus", "exp", "abs", "sum", "mean", "concat",
+    "softplus", "psi", "abs", "sum", "mean", "concat",
     "broadcast", "gaussian_log_pdf", "conv1d-circular", "conv2d-circular",
     "conv1d-depthwise", "conv2d-depthwise",
 ]
@@ -42,54 +36,61 @@ def primitive_case(op: str, seed: int):
 
     if op in ("add", "mul", "div"):
         a, b = smooth((3, 4)), smooth((3, 4))
-        store = _store_with({"a": a, "b": b})
+        store = ad.ParameterStore({"a": a, "b": b})
         fn = getattr(ad, op)
         builder = lambda lv: ad.reduce_sum(ad.mul(fn(lv["a"], lv["b"]), fn(lv["a"], lv["b"])))
     elif op == "matmul":
-        store = _store_with({"a": smooth((3, 4)), "b": smooth((4, 2))})
+        store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((4, 2))})
         builder = lambda lv: ad.reduce_sum(ad.matmul(lv["a"], lv["b"]))
     elif op in _CONV_CASES:
         conv, x_shape, w_shape, padding, groups = _CONV_CASES[op]
-        store = _store_with(
+        store = ad.ParameterStore(
             {"x": smooth(x_shape), "w": smooth(w_shape), "b": smooth(w_shape[0])}
         )
         def builder(lv):
             c = conv(lv["x"], lv["w"], lv["b"], padding=padding, groups=groups)
             return ad.reduce_sum(ad.mul(c, c))
-    elif op in ("relu", "softplus", "exp", "abs"):
-        store = _store_with({"x": smooth((3, 4))})
-        fn = {"relu": ad.relu, "softplus": ad.softplus, "exp": ad.exp, "abs": ad.absolute}[op]
+    elif op in ("relu", "softplus", "abs"):
+        store = ad.ParameterStore({"x": smooth((3, 4))})
+        fn = {"relu": ad.relu, "softplus": ad.softplus, "abs": ad.absolute}[op]
         weights = smooth((3, 4))
         builder = lambda lv: ad.reduce_sum(ad.mul(fn(lv["x"]), ad.constant(weights)))
+    elif op == "psi":
+        # the readout's shape: grid features times the (T, M) basis
+        store = ad.ParameterStore({"f": smooth((2, 3)), "log_l": smooth(())})
+        distances = rng.uniform(-1.0, 1.0, size=(3, 4))
+        builder = lambda lv: ad.reduce_sum(
+            ad.matmul(lv["f"], learnable_psi_eval(lv["log_l"], distances))
+        )
     elif op == "sum":
-        store = _store_with({"x": smooth((3, 4))})
+        store = ad.ParameterStore({"x": smooth((3, 4))})
         weights = smooth(3)
         builder = lambda lv: ad.reduce_sum(
             ad.mul(ad.reduce_sum(lv["x"], axis=1), ad.constant(weights))
         )
     elif op == "mean":
-        store = _store_with({"x": smooth((3, 4))})
+        store = ad.ParameterStore({"x": smooth((3, 4))})
         weights = smooth(4)
         builder = lambda lv: ad.reduce_sum(
             ad.mul(ad.reduce_mean(lv["x"], axis=0), ad.constant(weights))
         )
     elif op == "concat":
-        store = _store_with({"a": smooth((2, 4)), "b": smooth((3, 4))})
+        store = ad.ParameterStore({"a": smooth((2, 4)), "b": smooth((3, 4))})
         weights = smooth((5, 4))
         builder = lambda lv: ad.reduce_sum(
             ad.mul(ad.concat([lv["a"], lv["b"]], axis=0), ad.constant(weights))
         )
     elif op == "broadcast":
-        store = _store_with({"s": smooth(())})
+        store = ad.ParameterStore({"s": smooth(())})
         weights = smooth((3, 4))
         builder = lambda lv: ad.reduce_sum(
             ad.mul(ad.broadcast_to(lv["s"], (3, 4)), ad.constant(weights))
         )
     elif op == "gaussian_log_pdf":
         y = smooth((3, 4))
-        store = _store_with({"mu": smooth((3, 4)), "logsig": smooth((3, 4))})
+        store = ad.ParameterStore({"mu": smooth((3, 4)), "logsig": smooth((3, 4))})
         builder = lambda lv: ad.reduce_sum(
-            ad.gaussian_log_pdf(y, lv["mu"], ad.exp(lv["logsig"]))
+            ad.gaussian_log_pdf(y, lv["mu"], ad.softplus(lv["logsig"]))
         )
     else:
         raise ValueError(op)

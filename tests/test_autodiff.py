@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from convcnp import autodiff as ad
 from conftest import PRIMITIVE_OPS, primitive_case, primitive_grad_error
+from reference_adam import reference_adam_step, reference_params
 
 
 def test_softplus_at_zero():
@@ -61,10 +63,8 @@ def test_backward_accumulates_without_reset():
 
 
 def test_random_three_op_graph_matches_finite_differences():
-    store = ad.ParameterStore()
     rng = np.random.default_rng(42)
-    store.add("a", rng.normal(size=(2, 3)))
-    store.add("b", rng.normal(size=(3, 2)))
+    store = ad.ParameterStore({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(3, 2))})
 
     def builder(leaves):
         prod = ad.matmul(leaves["a"], leaves["b"])
@@ -98,9 +98,9 @@ def test_shape_mismatch_names_op_and_shapes():
 
 
 def test_nonfinite_forward_is_an_error():
-    x = ad.Node(np.array([1e4]), needs_grad=True)
-    with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'exp'"):
-        ad.exp(x)
+    x = ad.Node(np.array([1e200]), needs_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'mul'"):
+        ad.mul(x, x)
 
 
 @pytest.mark.parametrize("padding", ["zeros", "circular"])
@@ -143,9 +143,7 @@ def test_reverse_pass_deterministic():
 
 class TestAdam:
     def make_store(self, value):
-        store = ad.ParameterStore()
-        store.add("w", np.array(value))
-        return store
+        return ad.ParameterStore({"w": np.array(value)})
 
     def test_zero_grad_zero_decay_is_noop(self):
         store = self.make_store([1.0, -2.0])
@@ -174,28 +172,69 @@ class TestAdam:
         ad.adam_step(store, lr=1e-3)
         assert store["w"].grad[0] == 0.0
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_matches_the_per_tensor_loop_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(5)
+        arrays = {
+            "w": rng.normal(size=(3, 4)),
+            "b": np.array([0.0, -0.0, 0.5, -2.0, 0.0]),
+            "s": np.asarray(-0.0),
+            "z": np.array([-0.0, 0.0, -0.0]),  # never takes a gradient
+        }
+        store = ad.ParameterStore(arrays)
+        ref = reference_params(arrays)
+        for _ in range(100):
+            for name, p in ref.items():
+                if name == "z":
+                    continue
+                g = rng.normal(size=p.value.shape)
+                g[rng.uniform(size=g.shape) < 0.3] = 0.0  # some moments stay at zero
+                g[rng.uniform(size=g.shape) < 0.2] = -0.0
+                p.grad[...] = g
+                store[name].grad[...] = g
+            ad.adam_step(store, lr=1e-2, weight_decay=weight_decay)
+            reference_adam_step(ref, lr=1e-2, weight_decay=weight_decay)
+        assert store.step == 100 and all(p.step == 100 for p in ref.values())
+        for flat, field in ((store.value, "value"), (store.grad, "grad"),
+                            (store.m, "m"), (store.v, "v")):
+            expected = np.concatenate([getattr(p, field).ravel() for p in ref.values()])
+            np.testing.assert_array_equal(flat, expected)
+            np.testing.assert_array_equal(np.signbit(flat), np.signbit(expected))
+        # without weight decay a -0.0 that never moves keeps its sign
+        assert np.signbit(store["z"].value[0]) == (weight_decay == 0.0)
+
+    def test_leaves_share_the_flat_vectors(self):
+        store = ad.ParameterStore({"w": np.ones((2, 3)), "b": np.zeros(4), "s": 0.5})
+        assert [f.name for f in dataclasses.fields(ad.Param)] == ["value", "grad"]
+        assert store.n_parameters() == store.value.size == 11
+        for name, leaf in store.leaves().items():
+            assert np.shares_memory(leaf.value, store.value)
+            assert np.shares_memory(store[name].grad, store.grad)
+        store["b"].value[...] = 2.0
+        np.testing.assert_array_equal(store.value[6:10], 2.0)
+
 
 class TestGradCheck:
     def test_linear_graph(self):
-        store = ad.ParameterStore()
-        store.add("w", np.array([0.3]))
+        store = ad.ParameterStore({"w": np.array([0.3])})
         x = np.array([2.0])
         builder = lambda lv: ad.reduce_sum(ad.mul(lv["w"], ad.constant(x)))
         assert ad.grad_check(builder, store) < 1e-8
 
     def test_softplus_chain_at_zero(self):
-        store = ad.ParameterStore()
-        store.add("w", np.array([0.0]))
+        store = ad.ParameterStore({"w": np.array([0.0])})
         builder = lambda lv: ad.reduce_sum(ad.softplus(ad.softplus(lv["w"])))
         assert ad.grad_check(builder, store, step=1e-5) < 1e-6
 
 
 class TestCheckpoint:
     def make_store(self):
-        store = ad.ParameterStore()
-        store.add("layer.weight", np.random.default_rng(3).normal(size=(2, 3)))
-        store.add("layer.bias", np.array([0.1, -1 / 3]))
-        return store
+        return ad.ParameterStore(
+            {
+                "layer.weight": np.random.default_rng(3).normal(size=(2, 3)),
+                "layer.bias": np.array([0.1, -1 / 3]),
+            }
+        )
 
     def test_roundtrip_exact(self, tmp_path):
         store = self.make_store()
@@ -220,19 +259,36 @@ class TestCheckpoint:
     def test_shape_validation(self, tmp_path):
         path = tmp_path / "ckpt.json"
         ad.save_checkpoint(self.make_store(), path)
-        other = ad.ParameterStore()
-        other.add("layer.weight", np.zeros((3, 2)))
-        other.add("layer.bias", np.zeros(2))
+        other = ad.ParameterStore({"layer.weight": np.zeros((3, 2)), "layer.bias": np.zeros(2)})
         with pytest.raises(ad.DiffError, match="shape"):
             ad.load_checkpoint(other, path)
 
     def test_unknown_name_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         ad.save_checkpoint(self.make_store(), path)
-        other = ad.ParameterStore()
-        other.add("other.weight", np.zeros((2, 3)))
+        other = ad.ParameterStore({"other.weight": np.zeros((2, 3))})
         with pytest.raises(ad.DiffError):
             ad.load_checkpoint(other, path)
+
+    def test_a_failed_load_writes_nothing(self, tmp_path):
+        store = self.make_store()
+        before = store.value.copy()
+        partial = tmp_path / "partial.json"
+        ad.save_checkpoint(ad.ParameterStore({"layer.weight": np.zeros((2, 3))}), partial)
+        loads = [
+            lambda: ad.load_checkpoint(store, partial),
+            lambda: store.load_state_dict(
+                {"layer.weight": np.zeros((2, 3)), "layer.bias": np.zeros(3)}
+            ),
+            lambda: store.load_state_dict(
+                {"layer.weight": np.zeros((2, 3)), "layer.bias": np.zeros(2), "extra": 1.0}
+            ),
+            lambda: store.load_state_dict({"layer.weight": np.zeros((2, 3))}),
+        ]
+        for load in loads:
+            with pytest.raises(ad.DiffError):
+                load()
+            np.testing.assert_array_equal(store.value, before)
 
 
 def test_unreached_node_grad_reads_zeros():
@@ -253,7 +309,7 @@ def test_two_backward_calls_accumulate_without_touching_the_first():
 
 def test_constant_nodes_keep_no_parents():
     x = ad.constant(np.ones(3))
-    y = ad.mul(ad.exp(x), x)
+    y = ad.mul(ad.softplus(x), x)
     assert not y.needs_grad and y._parents == () and y._vjp is None
     p = ad.Node(np.ones(3), needs_grad=True)
     z = ad.mul(y, p)  # one parent that takes a gradient is enough
@@ -268,7 +324,7 @@ def test_backward_refuses_a_loss_without_gradient():
 
 def test_nonfinite_under_no_tape_names_the_op():
     # a node over constants records no tape, yet its finite check still runs
-    x = ad.mul(ad.constant(np.array([1e2])), ad.constant(np.array([1e2])))
+    x = ad.mul(ad.constant(np.array([1e100])), ad.constant(np.array([1e100])))
     assert not x.needs_grad and x._parents == ()
-    with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'exp'"):
-        ad.exp(x)
+    with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'mul'"):
+        ad.mul(x, x)

@@ -149,8 +149,7 @@ class TestEmbed:
                 seen[key] = (y1, y2)
 
     def test_gradient_flows_to_length_scale(self):
-        store = ad.ParameterStore()
-        store.add("log_l", np.asarray(np.log(0.1)))
+        store = ad.ParameterStore({"log_l": np.log(0.1)})
         grid = make_grid([-1.0], [1.0], gamma=8.0)
         xs = np.array([-0.5, 0.2, 0.9])
         ys = np.array([[1.0], [-2.0], [0.5]])

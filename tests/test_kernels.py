@@ -117,14 +117,24 @@ class TestLearnablePsi:
         np.testing.assert_allclose(out.value, np.exp(-0.5 * (d / 0.2) ** 2), rtol=1e-14)
 
     def test_gradient_wrt_log_length_scale(self):
-        store = ad.ParameterStore()
-        store.add("log_l", np.asarray(np.log(0.3)))
+        store = ad.ParameterStore({"log_l": np.log(0.3)})
         d = np.array([0.3, 0.15, 0.9])
 
         def builder(leaves):
             return ad.reduce_sum(learnable_psi_eval(leaves["log_l"], d))
 
         assert ad.grad_check(builder, store, step=1e-6) < 1e-6
+
+    def test_overflowing_inverse_length_scale_names_the_op(self):
+        # 1 / l^2 overflows to inf, and exp(-inf) = 0 would hide it
+        log_l = ad.Node(-400.0, needs_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'psi'"):
+            learnable_psi_eval(log_l, [0.5, 1.0])
+
+    def test_one_tape_node(self):
+        log_l = ad.Node(np.log(0.2), needs_grad=True)
+        out = learnable_psi_eval(log_l, np.array([[0.1, 0.3]]))
+        assert out._parents == (log_l,)
 
 
 class TestJitterEscalation:
