@@ -8,9 +8,9 @@ reported alongside a few example tasks.
 
 import numpy as np
 
-from convcnp.synthdata import ProcessSpec, gillespie_lv, sample_task
+from convcnp.synthdata import ProcessSpec, gillespie_lv, make_rng, sample_task
 
-trajectory = gillespie_lv(seed=0)
+trajectory = gillespie_lv(make_rng(0))
 print(
     f"one trajectory: {trajectory.n_events} events over "
     f"{trajectory.times[-1]:.1f} time units"

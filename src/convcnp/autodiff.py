@@ -144,27 +144,16 @@ def absolute(x: Node) -> Node:
     return Node(np.abs(x.value), (x,), lambda g, i: g * np.sign(x.value), op="abs")
 
 
-def reduce_sum(x: Node, axis=None, keepdims=False) -> Node:
+def reduce_sum(x: Node) -> Node:
     shape = x.value.shape
-
-    def vjp(g, i):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape).copy()
-
-    return Node(x.value.sum(axis=axis, keepdims=keepdims), (x,), vjp, op="sum")
+    return Node(x.value.sum(), (x,), lambda g, i: np.broadcast_to(g, shape).copy(), op="sum")
 
 
-def reduce_mean(x: Node, axis=None, keepdims=False) -> Node:
-    shape = x.value.shape
-    count = x.value.size if axis is None else shape[axis]
-
-    def vjp(g, i):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape) / count
-
-    return Node(x.value.mean(axis=axis, keepdims=keepdims), (x,), vjp, op="mean")
+def reduce_mean(x: Node) -> Node:
+    shape, count = x.value.shape, x.value.size
+    return Node(
+        x.value.mean(), (x,), lambda g, i: np.broadcast_to(g, shape) / count, op="mean"
+    )
 
 
 def concat(nodes, axis=0) -> Node:
@@ -428,12 +417,6 @@ class ParameterStore:
             )
             start = end
 
-    def __getitem__(self, name: str) -> Param:
-        return self._params[name]
-
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -474,16 +457,13 @@ class ParameterStore:
             self._params[name].value[...] = value
 
 
-def adam_step(
-    store: ParameterStore,
-    lr: float,
-    weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(store: ParameterStore, lr: float, weight_decay: float = 0.0) -> None:
     """One Adam update with bias correction and decoupled weight decay.
 
+    The decay rates and the denominator guard are Kingma and Ba's defaults.
     Weight decay shrinks the value before the Adam delta is applied.
     Gradients are zeroed afterward; accumulation across batches happens
     before this call, never implicitly inside it.  Every pass runs in place
@@ -495,14 +475,14 @@ def adam_step(
     if weight_decay:  # skipped at 0: x - 0 * x would turn -0.0 into +0.0
         store.value -= np.multiply(store.value, lr * weight_decay, out=a)
     store.step += 1
-    store.m *= beta1
-    store.m += np.multiply(store.grad, 1.0 - beta1, out=a)
-    store.v *= beta2
-    store.v += np.multiply(np.square(store.grad, out=a), 1.0 - beta2, out=a)
-    m_hat = np.divide(store.m, 1.0 - beta1**store.step, out=a)
-    denom = np.divide(store.v, 1.0 - beta2**store.step)  # v_hat, then sqrt(v_hat) + eps
+    store.m *= ADAM_BETA1
+    store.m += np.multiply(store.grad, 1.0 - ADAM_BETA1, out=a)
+    store.v *= ADAM_BETA2
+    store.v += np.multiply(np.square(store.grad, out=a), 1.0 - ADAM_BETA2, out=a)
+    m_hat = np.divide(store.m, 1.0 - ADAM_BETA1**store.step, out=a)
+    denom = np.divide(store.v, 1.0 - ADAM_BETA2**store.step)  # v_hat, then sqrt(v_hat) + eps
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     store.value -= np.divide(np.multiply(m_hat, lr, out=a), denom, out=a)
     store.grad[...] = 0.0
 

@@ -70,9 +70,7 @@ class ExperimentConfig:
         proc = dict(raw.get("process", {}))
         _check_keys(proc, _PROCESS_KEYS, "process")
         kind = proc.pop("kind", "eq")
-        process = replace(
-            ProcessSpec.default_for(kind), **{k: tuple(v) for k, v in proc.items()}
-        )
+        process = replace(ProcessSpec.default_for(kind), **proc)
         model = dict(raw.get("model", {}))
         _check_keys(model, _MODEL_KEYS, "model")
         variant = model.get("variant", "convcnp-small")
@@ -345,15 +343,23 @@ def cmd_equivariance_audit(config: ExperimentConfig, args):
     print(f"equivariance audit written to {out / 'equivariance.csv'}")
 
 
+# command -> (handler, the flags it reads besides --config and --seed)
 COMMANDS = {
-    "generate-data": cmd_generate,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "oracle": cmd_oracle,
-    "extrapolate": cmd_extrapolate,
-    "dump": cmd_dump,
-    "gradcheck": cmd_gradcheck,
-    "equivariance-audit": cmd_equivariance_audit,
+    "generate-data": (cmd_generate, ("out", "tasks")),
+    "train": (cmd_train, ("out",)),
+    "evaluate": (cmd_evaluate, ("out", "checkpoint", "tasks")),
+    "oracle": (cmd_oracle, ("out", "tasks")),
+    "extrapolate": (cmd_extrapolate, ("out", "checkpoint", "shift")),
+    "dump": (cmd_dump, ("out", "checkpoint")),
+    "gradcheck": (cmd_gradcheck, ()),
+    "equivariance-audit": (cmd_equivariance_audit, ("out", "shift")),
+}
+
+FLAGS = {
+    "out": dict(help="output directory (default: the config's out_dir)"),
+    "checkpoint": dict(help="parameter checkpoint to load (default: the initialisation)"),
+    "tasks": dict(type=int, help="number of tasks (default: the config's eval.n_tasks)"),
+    "shift": dict(type=float, help="input translation (default: the config's eval.shift)"),
 }
 
 
@@ -364,14 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
         "against exact GP oracles on synthetic data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--checkpoint", default=None)
-        p.add_argument("--tasks", type=int, default=None, help="number of tasks")
-        p.add_argument("--shift", type=float, default=None, help="input translation")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -379,10 +383,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
-        args.out = Path(args.out or config.out_dir)
-        if args.shift is None:
+        if "out" in args:
+            args.out = Path(args.out or config.out_dir)
+        if "shift" in args and args.shift is None:
             args.shift = config.shift
-        COMMANDS[args.command](config, args)
+        COMMANDS[args.command][0](config, args)
     except (ConfigError, FileNotFoundError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,11 +1,11 @@
 """Set-to-function embedding on a uniform grid.
 
 A context set is smoothed onto an anchored uniform grid through a
-learnable EQ kernel, with a density channel (the constant component of
-the power-series feature map) recording how much observation mass lands
-near each grid point.  Dividing the signal channels by the density
-channel (normalized convolution) decouples signal scale from sampling
-density.
+learnable EQ kernel.  Each point contributes phi(y) = [1, y]: the constant
+feature makes a density channel recording how much observation mass lands
+near each grid point, and the rest carry the data.  Dividing the signal
+channels by the density channel (normalized convolution) decouples signal
+scale from sampling density.
 """
 
 from __future__ import annotations
@@ -52,31 +52,10 @@ def make_grid(context_xs, target_xs, gamma: float, margin: float = 0.0) -> Unifo
     return UniformGrid(lower=float(lower), spacing=1.0 / gamma, n_points=max(n_points, 2))
 
 
-def phi_power_series(y, multiplicity: int = 1) -> np.ndarray:
-    """Feature map (1, y, y^2, ..., y^K) of each row of ``y``, (N, dim_y).
+def embed(context_x, context_y, grid: UniformGrid, log_length_scale: ad.Node) -> ad.Node:
+    """Smooth the features phi(y) = [1, y] of a context set onto the grid.
 
-    Returns (1 + K * dim_y, N): column n is (1, y_n1..y_nd, y_n1^2..y_nd^2,
-    ...).  Multiplicity one reduces to appending a constant: (1, y).
-    """
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
-    y = np.asarray(y, float)
-    powers = [np.ones((1, len(y)))]
-    for k in range(1, multiplicity + 1):
-        powers.append((y**k).T)
-    return np.concatenate(powers)
-
-
-def embed(
-    context_x,
-    context_y,
-    grid: UniformGrid,
-    log_length_scale: ad.Node,
-    multiplicity: int = 1,
-) -> ad.Node:
-    """Smooth the power-series features of a context set onto the grid.
-
-    Returns the (1 + K * dim_y, T) channels, channel 0 the density:
+    Returns the (1 + dim_y, T) channels, channel 0 the density:
     channels[:, i] = sum_n phi(y_n) * psi(t_i - x_n), differentiable in the
     smoothing kernel's log length scale.  Context points are accumulated in
     sorted-by-x order so the result is bit-identical under permutations of
@@ -86,9 +65,8 @@ def embed(
     context_y = np.asarray(context_y, float)
     if context_y.ndim == 1:
         context_y = context_y[:, None]
-    n_channels = 1 + multiplicity * context_y.shape[1]
     if context_x.size == 0:
-        return ad.constant(np.zeros((n_channels, grid.n_points)))
+        return ad.constant(np.zeros((1 + context_y.shape[1], grid.n_points)))
 
     order = np.argsort(context_x, kind="stable")
     context_x = context_x[order]
@@ -96,18 +74,16 @@ def embed(
 
     distances = context_x[:, None] - grid.points[None, :]  # (N, T)
     psi = learnable_psi_eval(log_length_scale, distances)
-    phi = phi_power_series(context_y, multiplicity)  # (C, N)
+    phi = np.concatenate([np.ones((1, len(context_y))), context_y.T])  # (1 + dim_y, N)
     return ad.matmul(ad.constant(phi), psi)
 
 
-def divide_by_density(channels: ad.Node, eps: float = DENSITY_EPS) -> ad.Node:
-    """Divide channels 1.. by (channel 0 + eps); channel 0, the density, is kept.
+def divide_by_density(channels: ad.Node) -> ad.Node:
+    """Divide channels 1.. by (channel 0 + DENSITY_EPS); channel 0, the density, stays.
 
     ``channels`` is channels-first, (C, ...) over any grid shape.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     density = ad.narrow(channels, 0, 0, 1)
     signal = ad.narrow(channels, 0, 1, channels.value.shape[0] - 1)
-    normalized = ad.div(signal, ad.add(density, ad.constant(np.asarray(eps))))
+    normalized = ad.div(signal, ad.add(density, ad.constant(np.asarray(DENSITY_EPS))))
     return ad.concat([density, normalized], axis=0)

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .embedding import DENSITY_EPS, divide_by_density, embed, make_grid
+from .embedding import divide_by_density, embed, make_grid
 from .kernels import init_log_length_scale, learnable_psi_eval
 from .synthdata import Task, make_rng
 
 SIGMA_MIN = 0.1
 SIGMA_FLOOR_WEIGHT = 0.1  # sigma_post = 0.1 * sigma_min + 0.9 * raw
+KERNEL_SIZE = 5  # taps per axis of every conv kernel that is not 1x1
 
 
 def _floor_sigma(sigma: ad.Node) -> ad.Node:
@@ -38,7 +39,6 @@ class CnnSpec:
     """
 
     channels: tuple
-    kernel_size: int = 5
     skips: dict = field(default_factory=dict)
     separable: bool = False
 
@@ -61,7 +61,7 @@ class CnnSpec:
 
     def receptive_field_steps(self) -> int:
         """Half-width of the receptive field in grid steps."""
-        return self.n_layers * (self.kernel_size - 1) // 2
+        return self.n_layers * (KERNEL_SIZE - 1) // 2
 
 
 def _he_init(rng, shape, fan_in):
@@ -70,15 +70,14 @@ def _he_init(rng, shape, fan_in):
 
 def _init_cnn_params(params: dict, prefix, spec: CnnSpec, in_channels: int, rng, ndim=1):
     """Add a CnnSpec's conv weights and biases to ``params``, in layer order."""
-    k = spec.kernel_size
-    kshape = (k,) if ndim == 1 else (k, k)
-    ksize = k**ndim
+    kshape = (KERNEL_SIZE,) * ndim
+    ksize = KERNEL_SIZE**ndim
     widths = {}  # layer index -> output channels, for skip bookkeeping
     c_in = in_channels
     for i, c_out in enumerate(spec.channels, start=1):
         if i in spec.skips:
             c_in = sum(widths[j] for j in spec.skips[i])
-        if spec.separable and k > 1:
+        if spec.separable:
             params[f"{prefix}.l{i}.dw"] = _he_init(rng, (c_in, 1) + kshape, ksize)
             params[f"{prefix}.l{i}.pw"] = _he_init(rng, (c_out, c_in) + (1,) * ndim, c_in)
         else:
@@ -107,7 +106,7 @@ def cnn_forward(
         if i in spec.skips:
             h = ad.concat([acts[j] for j in spec.skips[i]], axis=0)
         bias = leaves[f"{prefix}.l{i}.bias"]
-        if spec.separable and spec.kernel_size > 1:
+        if spec.separable:
             h = conv(h, leaves[f"{prefix}.l{i}.dw"], padding=padding, groups=h.value.shape[0])
             h = conv(h, leaves[f"{prefix}.l{i}.pw"], bias, padding=padding)
         else:
@@ -187,7 +186,6 @@ class ConvCNP:
         cnn: CnnSpec | None = None,
         margin: float | None = None,
         sigma_floor: bool = True,
-        multiplicity: int = 1,
         init_seed: int = 0,
     ):
         self.dim_y = dim_y
@@ -199,8 +197,7 @@ class ConvCNP:
             margin = self.cnn.receptive_field_steps() / self.gamma
         self.margin = float(margin)
         self.sigma_floor = sigma_floor
-        self.multiplicity = multiplicity
-        self.in_channels = 1 + multiplicity * dim_y
+        self.in_channels = 1 + dim_y
 
         params = {
             "encoder.log_length_scale": init_log_length_scale(self.gamma),
@@ -228,11 +225,10 @@ class ConvCNP:
             leaves = self.params.constants()
         grids = [make_grid(t.context_x, t.target_x, self.gamma, self.margin) for t in tasks]
         pieces = [
-            embed(t.context_x, t.context_y, grid, leaves["encoder.log_length_scale"],
-                  self.multiplicity)
+            embed(t.context_x, t.context_y, grid, leaves["encoder.log_length_scale"])
             for t, grid in zip(tasks, grids)
         ]
-        gap = (self.cnn.kernel_size - 1) // 2
+        gap = (KERNEL_SIZE - 1) // 2
         sizes = [grid.n_points for grid in grids]
         starts = np.cumsum([0] + [n + gap for n in sizes[:-1]])
         signal, mask = pieces[0], None
@@ -374,32 +370,23 @@ class ConvCNPOnGrid:
     The smoothing step is a convolution with a positivity-constrained
     trainable filter (elementwise absolute value): the density channel is
     the filtered context mask, the signal channels are the filtered masked
-    data divided by the density.  A CNN plus a 1x1-conv head produce mean
-    and deviation channels.
+    data divided by the density.  A separable CNN plus a 1x1-conv head
+    produce mean and deviation channels.  Every conv pads circularly, so the
+    model is equivariant to circular shifts of the grid.
     """
 
     def __init__(
-        self,
-        channels: int = 1,
-        ndim: int = 2,
-        cnn: CnnSpec | None = None,
-        smoothing_kernel_size: int = 5,
-        padding: str = "circular",
-        separable: bool = True,
-        eps: float = DENSITY_EPS,
-        init_seed: int = 0,
+        self, channels: int = 1, ndim: int = 2, cnn: CnnSpec | None = None, init_seed: int = 0
     ):
         if ndim not in (1, 2):
             raise ValueError("ndim must be 1 or 2")
         self.channels = channels
         self.ndim = ndim
-        self.padding = padding
-        self.eps = eps
-        self.cnn = replace(cnn or CnnSpec(channels=(16, 32, 16)), separable=separable)
+        self.cnn = replace(cnn or CnnSpec(channels=(16, 32, 16)), separable=True)
 
         rng = make_rng(init_seed, 0xC2)
-        kshape = (1, 1) + (smoothing_kernel_size,) * ndim
-        params = {"encoder.weight": np.abs(_he_init(rng, kshape, smoothing_kernel_size**ndim))}
+        kshape = (1, 1) + (KERNEL_SIZE,) * ndim
+        params = {"encoder.weight": np.abs(_he_init(rng, kshape, KERNEL_SIZE**ndim))}
         _init_cnn_params(params, "cnn", self.cnn, 1 + channels, rng, ndim=ndim)
         head_shape = (2 * channels, self.cnn.channels[-1]) + (1,) * ndim
         params["head.weight"] = _he_init(rng, head_shape, self.cnn.channels[-1])
@@ -428,9 +415,9 @@ class ConvCNPOnGrid:
             ad.absolute(kernel), (len(stacked),) + kernel.value.shape[1:]
         )
         smoothed = conv(
-            ad.constant(stacked), smoothing, padding=self.padding, groups=len(stacked)
+            ad.constant(stacked), smoothing, padding="circular", groups=len(stacked)
         )
-        return divide_by_density(smoothed, self.eps)
+        return divide_by_density(smoothed)
 
     def forward(self, image, context_mask, target_mask, leaves=None) -> GridPredictive:
         if leaves is None:
@@ -441,8 +428,8 @@ class ConvCNPOnGrid:
             raise ValueError("target mask must match the spatial shape of the data")
         conv = ad.conv1d if self.ndim == 1 else ad.conv2d
         h = self.encode(image, context_mask, leaves)
-        h = ad.relu(cnn_forward(self.cnn, h, leaves, "cnn", padding=self.padding))
-        out = conv(h, leaves["head.weight"], leaves["head.bias"], padding=self.padding)
+        h = ad.relu(cnn_forward(self.cnn, h, leaves, "cnn", padding="circular"))
+        out = conv(h, leaves["head.weight"], leaves["head.bias"], padding="circular")
         mu = ad.narrow(out, 0, 0, self.channels)
         sigma = ad.softplus(ad.narrow(out, 0, self.channels, self.channels))
         return GridPredictive(mu=mu, sigma=sigma, target_mask=target_mask)

@@ -7,6 +7,8 @@ bit-for-bit across platforms and runs.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -62,18 +64,16 @@ class Task:
         }
 
 
-def gp_sample(spec, xs, seed=None, rng=None) -> np.ndarray:
+def gp_sample(spec, xs, rng) -> np.ndarray:
     """Draw one zero-mean GP realization at locations ``xs``."""
     xs = np.asarray(xs, float)
-    if rng is None:
-        rng = make_rng(seed)
     if xs.size == 0:
         return np.zeros(0)
     chol = cholesky_with_jitter(gram(spec, xs))
     return chol @ rng.standard_normal(len(xs))
 
 
-def sawtooth_sample(xs, seed=None, rng=None) -> np.ndarray:
+def sawtooth_sample(xs, rng) -> np.ndarray:
     """Random truncated sawtooth wave evaluated at ``xs``.
 
     y(t) = A/2 - (A/pi) sum_{k=1}^{K} (-1)^k sin(2 pi k f (t - s)) / k
@@ -81,8 +81,6 @@ def sawtooth_sample(xs, seed=None, rng=None) -> np.ndarray:
     and shift s ~ U[-5, 5], all drawn once per realization.
     """
     xs = np.asarray(xs, float)
-    if rng is None:
-        rng = make_rng(seed)
     freq = rng.uniform(3.0, 5.0)
     trunc = int(rng.integers(10, 21))
     shift = rng.uniform(-5.0, 5.0)
@@ -125,11 +123,10 @@ def _uniform_pairs(rng):
 
 
 def gillespie_lv(
+    rng,
     theta=LV_RATES,
     x0: int = 50,
     y0: int = 100,
-    seed=None,
-    rng=None,
     max_time: float = 100.0,
     max_events: int = 10050,
 ) -> LVTrajectory:
@@ -146,8 +143,6 @@ def gillespie_lv(
         raise ValueError(f"invalid rates {theta}")
     if x0 < 0 or y0 < 0:
         raise ValueError("initial populations must be non-negative")
-    if rng is None:
-        rng = make_rng(seed)
     state = rng.bit_generator.state
     t, x, y = 0.0, int(x0), int(y0)
     times, xs, ys = [t], [x], [y]
@@ -194,7 +189,7 @@ class RejectedTrajectory(Exception):
     """The trajectory fails a data-quality filter; retry with a new seed."""
 
 
-def lv_to_task(trajectory: LVTrajectory, seed=None, rng=None) -> Task:
+def lv_to_task(trajectory: LVTrajectory, rng) -> Task:
     """Subsample a predator-prey trajectory into a two-channel task.
 
     Filters: duration > 100 time units, > 10000 events, either population
@@ -215,8 +210,6 @@ def lv_to_task(trajectory: LVTrajectory, seed=None, rng=None) -> Task:
     n_points = len(trajectory.times)
     if n_points < LV_TASK_POINTS:
         raise RejectedTrajectory(f"fewer than {LV_TASK_POINTS} observation points")
-    if rng is None:
-        rng = make_rng(seed)
     n_context = int(rng.integers(3, 81))
     n_target = LV_TASK_POINTS - n_context
     idx = rng.choice(n_points, size=LV_TASK_POINTS, replace=False)
@@ -239,16 +232,35 @@ PROCESS_KINDS = GP_KINDS + ("sawtooth", "lotka-volterra")
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Which stochastic process to sample tasks from, and how."""
+    """Which stochastic process to sample tasks from, and how.
+
+    Each range is a pair [low, high] with low <= high: ``x_range`` of finite
+    numbers, the inclusive count bounds of integers, at least 0 for the
+    context and at least 1 for the targets.
+    """
 
     kind: str = "eq"
     x_range: tuple = (-2.0, 2.0)
-    n_context: tuple = (3, 50)  # inclusive bounds
+    n_context: tuple = (3, 50)
     n_target: tuple = (3, 50)
 
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown process kind '{self.kind}'")
+        for name, number, least, rule in (
+            ("x_range", numbers.Real, -math.inf, "finite numbers [low, high] with low"),
+            ("n_context", numbers.Integral, 0, "integers [low, high] with 0 <= low"),
+            ("n_target", numbers.Integral, 1, "integers [low, high] with 1 <= low"),
+        ):
+            pair = getattr(self, name)
+            if not (
+                isinstance(pair, (tuple, list))
+                and len(pair) == 2
+                and all(isinstance(v, number) and math.isfinite(v) for v in pair)
+                and least <= pair[0] <= pair[1]
+            ):
+                raise ValueError(f"process.{name} must be two {rule} <= high, got {pair!r}")
+            object.__setattr__(self, name, tuple(pair))  # a config gives lists
 
     @classmethod
     def default_for(cls, kind: str) -> "ProcessSpec":

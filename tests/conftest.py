@@ -62,18 +62,15 @@ def primitive_case(op: str, seed: int):
         builder = lambda lv: ad.reduce_sum(
             ad.matmul(lv["f"], learnable_psi_eval(lv["log_l"], distances))
         )
-    elif op == "sum":
+    elif op in ("sum", "mean"):
+        # squared, so the reduction's vjp receives a gradient other than 1
         store = ad.ParameterStore({"x": smooth((3, 4))})
-        weights = smooth(3)
-        builder = lambda lv: ad.reduce_sum(
-            ad.mul(ad.reduce_sum(lv["x"], axis=1), ad.constant(weights))
-        )
-    elif op == "mean":
-        store = ad.ParameterStore({"x": smooth((3, 4))})
-        weights = smooth(4)
-        builder = lambda lv: ad.reduce_sum(
-            ad.mul(ad.reduce_mean(lv["x"], axis=0), ad.constant(weights))
-        )
+        weights = smooth((3, 4))
+        reduce = ad.reduce_sum if op == "sum" else ad.reduce_mean
+
+        def builder(lv):
+            r = reduce(ad.mul(lv["x"], ad.constant(weights)))
+            return ad.mul(r, r)
     elif op == "concat":
         store = ad.ParameterStore({"a": smooth((2, 4)), "b": smooth((3, 4))})
         weights = smooth((5, 4))

@@ -9,7 +9,7 @@ leaves the generator.
 
 import numpy as np
 
-from convcnp.synthdata import LV_RATES, LVTrajectory, make_rng
+from convcnp.synthdata import LV_RATES, LVTrajectory
 
 
 def lv_total_rate(theta, x: int, y: int) -> float:
@@ -20,11 +20,10 @@ def lv_total_rate(theta, x: int, y: int) -> float:
 
 
 def reference_gillespie_lv(
+    rng,
     theta=LV_RATES,
     x0: int = 50,
     y0: int = 100,
-    seed=None,
-    rng=None,
     max_time: float = 100.0,
     max_events: int = 10050,
 ) -> LVTrajectory:
@@ -33,8 +32,6 @@ def reference_gillespie_lv(
         raise ValueError(f"invalid rates {theta}")
     if x0 < 0 or y0 < 0:
         raise ValueError("initial populations must be non-negative")
-    if rng is None:
-        rng = make_rng(seed)
     t, x, y = 0.0, int(x0), int(y0)
     times, xs, ys = [t], [x], [y]
     t1, t2, t3, t4 = theta

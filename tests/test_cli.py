@@ -140,6 +140,24 @@ class TestGenerateData:
         manifest = json.loads((out / "manifest.json").read_text())
         assert 0.0 <= manifest["lv_rejection_rate"] < 1.0
 
+    @pytest.mark.parametrize(
+        "process, field",
+        [
+            ({"n_context": [5]}, "n_context"),
+            ({"x_range": 5}, "x_range"),
+            ({"n_context": [50, 3]}, "n_context"),
+            ({"n_target": [0, 0]}, "n_target"),
+        ],
+        ids=["one-bound", "scalar-range", "low-above-high", "no-targets"],
+    )
+    def test_bad_range_is_a_config_error(self, tmp_path, capsys, process, field):
+        config = write_config(tmp_path, process=process)
+        out = tmp_path / "data"
+        assert main(["generate-data", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"process.{field}" in err
+        assert not out.exists()
+
 
 class TestTrainEvaluate:
     def test_train_writes_log_and_checkpoints(self, tmp_path):
@@ -322,6 +340,14 @@ class TestOtherCommands:
             "equivariance-audit", "--config", str(config), "--out", str(tmp_path / "eq"),
         ]) == 1
         assert "'cnp'" in capsys.readouterr().err
+
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--config", str(config), "--checkpoint", "x"])
+        assert exit_info.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_config_path(self, tmp_path, capsys):
         code = main([

@@ -80,7 +80,7 @@ task = sample_task(ProcessSpec("sawtooth"), 11)
 leaves = model.params.leaves()
 pred = model.forward(task, leaves=leaves)
 ad.backward(nll_loss(pred, task.target_y))
-arrays = [pred.mean, pred.std] + [leaves[name].grad for name in model.params.names()]
+arrays = [pred.mean, pred.std] + [leaf.grad for leaf in leaves.values()]
 sys.stdout.buffer.write(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
 """
 

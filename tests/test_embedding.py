@@ -7,7 +7,6 @@ from convcnp.embedding import (
     divide_by_density,
     embed,
     make_grid,
-    phi_power_series,
 )
 
 
@@ -52,31 +51,16 @@ class TestMakeGrid:
             make_grid([], [], gamma=4.0)
 
 
-class TestPhiPowerSeries:
-    def test_order_one_at_zero(self):
-        np.testing.assert_array_equal(phi_power_series([[0.0]], 1), [[1.0], [0.0]])
-
-    def test_higher_order_powers(self):
-        np.testing.assert_array_equal(phi_power_series([[2.0]], 3), [[1], [2], [4], [8]])
-
-    def test_multichannel_order_one(self):
-        np.testing.assert_array_equal(phi_power_series([[3.0, -1.0]], 1), [[1], [3], [-1]])
-
-    def test_each_row_is_one_column(self):
-        ys = np.random.default_rng(7).normal(size=(6, 2))
-        columns = [np.concatenate([[1.0], y, y**2, y**3]) for y in ys]
-        np.testing.assert_array_equal(phi_power_series(ys, 3), np.stack(columns, axis=1))
-
-    def test_rejects_zero_multiplicity(self):
-        with pytest.raises(ValueError):
-            phi_power_series([[1.0]], 0)
-
-
 class TestEmbed:
     def test_single_point_at_grid_node(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
         emb = embed([0.0], [2.0], grid, log_l())
         np.testing.assert_allclose(emb.value[:, 0], [1.0, 2.0])
+
+    def test_two_outputs_give_density_then_each_output(self):
+        grid = make_grid([0.0], [1.0], gamma=4.0)
+        emb = embed([0.0], [[2.0, -3.0]], grid, log_l())
+        np.testing.assert_allclose(emb.value[:, 0], [1.0, 2.0, -3.0])
 
     def test_empty_context_gives_zero_embedding(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
@@ -85,10 +69,9 @@ class TestEmbed:
 
     def test_empty_two_output_context_keeps_every_channel(self):
         grid = make_grid([0.0], [1.0], gamma=4.0)
-        for multiplicity in (1, 2):
-            emb = embed([], np.zeros((0, 2)), grid, log_l(), multiplicity)
-            assert emb.value.shape == (1 + 2 * multiplicity, grid.n_points)
-            np.testing.assert_array_equal(emb.value, 0.0)
+        emb = embed([], np.zeros((0, 2)), grid, log_l())
+        assert emb.value.shape == (3, grid.n_points)
+        np.testing.assert_array_equal(emb.value, 0.0)
 
     def test_density_channel_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -132,21 +115,6 @@ class TestEmbed:
             ea = embed(xa, ya, grid, log_l()).value
             eb = embed(xb, yb, grid, log_l()).value
             assert np.abs(ea - eb).max() > 1e-6
-
-    def test_multiplicity_two_distinguishes_multisets_at_same_location(self):
-        # order-one features sum to the same value for {0, 2} and {1, 1};
-        # the squared channel separates every distinct multiset on a value grid
-        grid = make_grid([0.0], [1.0], gamma=8.0)
-        values = np.linspace(-2, 2, 9)
-        seen = {}
-        for i, y1 in enumerate(values):
-            for y2 in values[i:]:
-                emb = embed(
-                    [0.5, 0.5], np.array([[y1], [y2]]), grid, log_l(), multiplicity=2
-                )
-                key = tuple(np.round(emb.value[:, 4], 9))
-                assert key not in seen, f"collision: {seen[key]} vs {(y1, y2)}"
-                seen[key] = (y1, y2)
 
     def test_gradient_flows_to_length_scale(self):
         store = ad.ParameterStore({"log_l": np.log(0.1)})
@@ -193,8 +161,3 @@ class TestNormalizeDensity:
         raw = embed([0.3, 0.6], [[1.0], [2.0]], grid, log_l())
         norm = divide_by_density(raw)
         np.testing.assert_array_equal(norm.value[0], raw.value[0])
-
-    def test_rejects_nonpositive_eps(self):
-        grid = make_grid([0.0], [1.0], gamma=4.0)
-        with pytest.raises(ValueError):
-            divide_by_density(embed([0.0], [1.0], grid, log_l()), eps=0.0)

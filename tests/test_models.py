@@ -4,6 +4,7 @@ import pytest
 from convcnp import autodiff as ad
 from convcnp.embedding import make_grid
 from convcnp.models import (
+    KERNEL_SIZE,
     CNPBaseline,
     CnnSpec,
     ConvCNP,
@@ -29,7 +30,7 @@ class TestCnnSpec:
     def test_small_shape(self):
         spec = CnnSpec.small(dim_y=1)
         assert spec.channels == (16, 32, 16, 2)
-        assert spec.kernel_size == 5 and not spec.skips
+        assert KERNEL_SIZE == 5 and not spec.skips
 
     def test_xl_shape(self):
         spec = CnnSpec.xl(dim_y=1, base=8)
@@ -271,7 +272,7 @@ def _per_task_and_batched(model, tasks):
         for extra in losses[1:]:
             total = ad.add(total, extra)
         ad.backward(ad.mul(total, ad.constant(np.asarray(1.0 / len(tasks)))))
-        grads = {name: leaves[name].grad for name in model.params.names()}
+        grads = {name: leaf.grad for name, leaf in leaves.items()}
         results.append((preds, [float(loss.value) for loss in losses], grads))
     return results
 
@@ -377,8 +378,7 @@ class TestForwardMany:
 class TestOnGrid:
     def make(self, **kwargs):
         defaults = dict(
-            channels=1, ndim=2, cnn=CnnSpec(channels=(4, 4)), padding="circular",
-            separable=True, init_seed=0,
+            channels=1, ndim=2, cnn=CnnSpec(channels=(4, 4)), init_seed=0,
         )
         defaults.update(kwargs)
         return ConvCNPOnGrid(**defaults)
@@ -436,19 +436,24 @@ class TestOnGrid:
             model.forward(image, bad, np.ones((4, 4)))
 
     def test_grid_nll_and_gradient(self):
-        model = ConvCNPOnGrid(
-            channels=1, ndim=1, cnn=CnnSpec(channels=(2,), kernel_size=3),
-            smoothing_kernel_size=3, separable=False, init_seed=4,
-        )
+        # the model as it runs: 5-tap smoothing, depthwise plus pointwise
+        # convs and circular padding everywhere, here on a tiny CNN
         rng = np.random.default_rng(5)
-        image = rng.normal(size=(1, 7))
-        mask = np.array([1, 0, 1, 0, 0, 1, 0], dtype=float)
+        for ndim, shape in ((1, (9,)), (2, (6, 7))):
+            model = self.make(ndim=ndim, cnn=CnnSpec(channels=(2,)), init_seed=4)
+            params = dict(model.params.items())
+            assert params["encoder.weight"].value.shape == (1, 1) + (5,) * ndim
+            assert params["cnn.l1.dw"].value.shape == (2, 1) + (5,) * ndim
+            assert params["cnn.l1.pw"].value.shape == (2, 2) + (1,) * ndim
+            image = rng.normal(size=(1,) + shape)
+            mask = (rng.random(shape) < 0.4).astype(float)
+            mask.flat[:2] = (1.0, 0.0)
 
-        def builder(leaves):
-            pred = model.forward(image, mask, 1.0 - mask, leaves=leaves)
-            return grid_nll_loss(pred, image)
+            def builder(leaves):
+                pred = model.forward(image, mask, 1.0 - mask, leaves=leaves)
+                return grid_nll_loss(pred, image)
 
-        assert ad.grad_check(builder, model.params, step=1e-5) < 1e-4
+            assert ad.grad_check(builder, model.params, step=1e-5) < 1e-4, ndim
 
     def test_positive_smoothing_filter(self):
         model = self.make()
@@ -456,5 +461,5 @@ class TestOnGrid:
         image = np.random.default_rng(6).normal(size=(1, 6, 6))
         mask = np.ones((6, 6))
         base = model.encode(image, mask).value
-        model.params["encoder.weight"].value *= -1.0
+        dict(model.params.items())["encoder.weight"].value *= -1.0
         np.testing.assert_array_equal(model.encode(image, mask).value, base)

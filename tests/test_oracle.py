@@ -3,7 +3,7 @@ import pytest
 
 from convcnp.kernels import EQ, Matern52, gram
 from convcnp.oracle import gaussian_ll, gp_oracle_ll, gp_posterior_predict
-from convcnp.synthdata import ProcessSpec, Task, gp_sample, sample_task
+from convcnp.synthdata import ProcessSpec, Task, gp_sample, make_rng, sample_task
 
 
 class TestPosteriorPredict:
@@ -14,7 +14,7 @@ class TestPosteriorPredict:
 
     def test_interpolates_noiseless_context(self, rng):
         xs = rng.uniform(-2, 2, size=8)
-        ys = gp_sample(EQ(), xs, seed=1)
+        ys = gp_sample(EQ(), xs, rng=make_rng(1))
         mean, std = gp_posterior_predict(EQ(), xs, ys, xs)
         np.testing.assert_allclose(mean, ys, atol=1e-3)
         assert np.all(std <= 1e-3)
@@ -38,7 +38,7 @@ class TestPosteriorPredict:
 
     def test_variance_clamped_nonnegative(self, rng):
         xs = rng.uniform(-2, 2, size=20)
-        ys = gp_sample(Matern52(), xs, seed=2)
+        ys = gp_sample(Matern52(), xs, rng=make_rng(2))
         _, std = gp_posterior_predict(Matern52(), xs, ys, xs)
         assert np.all(std >= 0)
 
@@ -46,7 +46,7 @@ class TestPosteriorPredict:
 class TestOracleLL:
     def _prior_task(self, seed):
         xs = np.random.default_rng(seed).uniform(-2, 2, size=10)
-        ys = gp_sample(EQ(), xs, seed=seed)
+        ys = gp_sample(EQ(), xs, rng=make_rng(seed))
         return Task(
             context_x=np.zeros(0), context_y=np.zeros((0, 1)),
             target_x=xs, target_y=ys[:, None],
@@ -66,7 +66,7 @@ class TestOracleLL:
         for seed in range(300):
             rng = np.random.default_rng(seed)
             xs = rng.uniform(-2, 2, size=40)
-            ys = gp_sample(EQ(), xs, seed=seed)
+            ys = gp_sample(EQ(), xs, rng=make_rng(seed))
             tgt_x, tgt_y = xs[30:], ys[30:]
             small = gp_posterior_predict(EQ(), xs[:5], ys[:5], tgt_x)
             large = gp_posterior_predict(EQ(), xs[:30], ys[:30], tgt_x)
@@ -93,6 +93,6 @@ class TestOracleLL:
 
     def test_mean_reproduces_context(self, rng):
         xs = rng.uniform(-2, 2, size=6)
-        ys = gp_sample(EQ(), xs, seed=3)
+        ys = gp_sample(EQ(), xs, rng=make_rng(3))
         mean, _ = gp_posterior_predict(EQ(), xs, ys, xs)
         np.testing.assert_allclose(mean, ys, atol=1e-4)

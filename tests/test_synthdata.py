@@ -23,21 +23,21 @@ from convcnp.synthdata import (
 
 class TestGPSample:
     def test_empty_input(self):
-        assert gp_sample(EQ(), [], seed=0).shape == (0,)
+        assert gp_sample(EQ(), [], rng=make_rng(0)).shape == (0,)
 
     def test_deterministic_per_seed(self):
         xs = np.linspace(-2, 2, 30)
-        a = gp_sample(EQ(), xs, seed=123)
-        b = gp_sample(EQ(), xs, seed=123)
+        a = gp_sample(EQ(), xs, rng=make_rng(123))
+        b = gp_sample(EQ(), xs, rng=make_rng(123))
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, gp_sample(EQ(), xs, seed=124))
+        assert not np.array_equal(a, gp_sample(EQ(), xs, rng=make_rng(124)))
 
     def test_marginal_variance(self):
-        draws = np.array([gp_sample(EQ(), [0.3], seed=s)[0] for s in range(10000)])
+        draws = np.array([gp_sample(EQ(), [0.3], rng=make_rng(s))[0] for s in range(10000)])
         assert draws.var() == pytest.approx(1.0, abs=0.05)
 
     def test_two_point_correlation(self):
-        draws = np.array([gp_sample(EQ(), [0.0, 0.25], seed=s) for s in range(10000)])
+        draws = np.array([gp_sample(EQ(), [0.0, 0.25], rng=make_rng(s)) for s in range(10000)])
         corr = np.corrcoef(draws.T)[0, 1]
         assert corr == pytest.approx(np.exp(-0.5), abs=0.03)
 
@@ -45,7 +45,7 @@ class TestGPSample:
     def test_empirical_covariance_matches_gram(self, kind):
         kernel = DATA_KERNELS[kind]
         probes = np.array([-1.5, -0.4, 0.0, 0.7, 1.8])
-        draws = np.stack([gp_sample(kernel, probes, seed=s) for s in range(10000)])
+        draws = np.stack([gp_sample(kernel, probes, rng=make_rng(s)) for s in range(10000)])
         emp = draws.T @ draws / len(draws)
         expected = gram(kernel, probes)
         n = len(draws)
@@ -67,18 +67,18 @@ class TestSawtooth:
     def test_value_at_shift_is_half_amplitude(self):
         for seed in range(5):
             _, _, shift = self._params(seed)
-            assert sawtooth_sample([shift], seed=seed)[0] == pytest.approx(0.5)
+            assert sawtooth_sample([shift], rng=make_rng(seed))[0] == pytest.approx(0.5)
 
     def test_amplitude_bound_on_dense_grids(self):
         xs = np.linspace(-2, 2, 10000)
         for seed in range(100):
-            ys = sawtooth_sample(xs, seed=seed)
+            ys = sawtooth_sample(xs, rng=make_rng(seed))
             assert ys.min() > -0.1 and ys.max() < 1.1
 
     def test_deterministic(self):
         xs = np.linspace(-2, 2, 64)
         np.testing.assert_array_equal(
-            sawtooth_sample(xs, seed=9), sawtooth_sample(xs, seed=9)
+            sawtooth_sample(xs, rng=make_rng(9)), sawtooth_sample(xs, rng=make_rng(9))
         )
 
     def test_parameter_ranges(self):
@@ -93,16 +93,16 @@ class TestGillespie:
         assert lv_total_rate((0.01, 0.5, 1.0, 0.01), 50, 100) == pytest.approx(225.0)
 
     def test_extinct_state_terminates_immediately(self):
-        tr = gillespie_lv(x0=0, y0=0, seed=0)
+        tr = gillespie_lv(x0=0, y0=0, rng=make_rng(0))
         assert tr.n_events == 0
 
     def test_population_changes_by_one_per_event(self):
-        tr = gillespie_lv(seed=3, max_events=500)
+        tr = gillespie_lv(rng=make_rng(3), max_events=500)
         steps = np.abs(np.diff(tr.predators)) + np.abs(np.diff(tr.prey))
         np.testing.assert_array_equal(steps, np.ones(tr.n_events))
 
     def test_interevent_times_positive(self):
-        tr = gillespie_lv(seed=4, max_events=500)
+        tr = gillespie_lv(rng=make_rng(4), max_events=500)
         assert np.all(np.diff(tr.times) > 0)
 
     def test_pure_death_mean(self):
@@ -111,7 +111,7 @@ class TestGillespie:
         finals = []
         for seed in range(1000):
             tr = gillespie_lv(
-                theta=(0.0, theta2, 1.0, 0.0), x0=100, y0=0, seed=seed, max_time=10.0
+                make_rng(seed), theta=(0.0, theta2, 1.0, 0.0), x0=100, y0=0, max_time=10.0
             )
             i = np.searchsorted(tr.times, t_probe, side="right") - 1
             finals.append(tr.predators[i])
@@ -123,7 +123,7 @@ class TestGillespie:
 
         counts = np.zeros(4, dtype=int)
         for seed in range(30000):
-            tr = gillespie_lv(seed=seed, max_events=1, max_time=np.inf)
+            tr = gillespie_lv(rng=make_rng(seed), max_events=1, max_time=np.inf)
             dx = tr.predators[1] - tr.predators[0]
             dy = tr.prey[1] - tr.prey[0]
             counts[{(1, 0): 0, (-1, 0): 1, (0, 1): 2, (0, -1): 3}[(dx, dy)]] += 1
@@ -133,9 +133,9 @@ class TestGillespie:
 
     def test_rejects_invalid_rates(self):
         with pytest.raises(ValueError):
-            gillespie_lv(theta=(0, 0, 0, 0))
+            gillespie_lv(make_rng(0), theta=(0, 0, 0, 0))
         with pytest.raises(ValueError):
-            gillespie_lv(x0=-1)
+            gillespie_lv(make_rng(0), x0=-1)
 
 
 def _run_both(make_generator, **kwargs):
@@ -199,9 +199,9 @@ class TestGillespieMatchesReference:
     )
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(Exception) as ref_error:
-            reference_gillespie_lv(seed=0, **kwargs)
+            reference_gillespie_lv(rng=make_rng(0), **kwargs)
         with pytest.raises(ref_error.type):
-            gillespie_lv(seed=0, **kwargs)
+            gillespie_lv(rng=make_rng(0), **kwargs)
 
 
 # SHA-256 over the shapes and bytes of the four arrays of the Lotka-Volterra
@@ -235,21 +235,21 @@ def _ok_trajectory(n=200, duration=50.0):
 class TestLVTask:
     def test_rejects_long_duration(self):
         with pytest.raises(RejectedTrajectory, match="100"):
-            lv_to_task(_ok_trajectory(duration=100.5), seed=0)
+            lv_to_task(_ok_trajectory(duration=100.5), rng=make_rng(0))
 
     def test_rejects_too_many_events(self):
         with pytest.raises(RejectedTrajectory, match="10000"):
-            lv_to_task(_ok_trajectory(n=10002), seed=0)
+            lv_to_task(_ok_trajectory(n=10002), rng=make_rng(0))
 
     def test_rejects_zero_population_channel(self):
         tr = _ok_trajectory()
         tr.prey[...] = 0
         with pytest.raises(RejectedTrajectory, match="zero"):
-            lv_to_task(tr, seed=0)
+            lv_to_task(tr, rng=make_rng(0))
 
     def test_accepted_task_scaled_and_sized(self):
         tr = _ok_trajectory()
-        task = lv_to_task(tr, seed=1)
+        task = lv_to_task(tr, rng=make_rng(1))
         assert len(task.context_x) + len(task.target_x) == 150
         assert 3 <= len(task.context_x) <= 80
         raw = np.stack([tr.predators, tr.prey], axis=1)
@@ -258,7 +258,7 @@ class TestLVTask:
             np.testing.assert_allclose(y, 2.0 / 7.0 * lookup[x])
 
     def test_context_target_disjoint(self):
-        task = lv_to_task(_ok_trajectory(), seed=2)
+        task = lv_to_task(_ok_trajectory(), rng=make_rng(2))
         assert not set(task.context_x) & set(task.target_x)
 
 

@@ -111,7 +111,7 @@ class TestTrain:
         for r in log.records:
             assert np.isfinite(r.train_nll) and np.isfinite(r.val_ll)
             assert r.seconds > 0 and r.param_norm > 0
-        assert set(best) == set(last) == set(model.params.names())
+        assert set(best) == set(last) == set(model.params.state_dict())
 
     def test_deterministic_given_seed(self):
         logs = []
