@@ -230,23 +230,16 @@ def _pad(x, pad, mode, op):
     return np.pad(x, widths, mode="constant" if mode == "zeros" else "wrap")
 
 
-def _unpad(dxp, pad, mode):
-    """Adjoint of :func:`_pad`: drop the border, or wrap it back if circular.
-
-    Folding one axis at a time also carries the corner blocks of a
-    circularly padded 2-D input back to the opposite corners.
+def _windows(xp, k, groups):
+    """The window matrix (groups, C / groups * k^d, |S|) of an input (C, *S)
+    already padded by (k - 1) / 2: rows (channel, tap) in a group, columns S.
     """
-    if pad == 0:
-        return dxp
-    for axis in range(1, dxp.ndim):
-        n = dxp.shape[axis] - 2 * pad
-        lo, dxp, hi = np.split(dxp, [pad, pad + n], axis=axis)
-        if mode == "circular":
-            dxp = dxp.copy()
-            head, _, tail = np.split(dxp, [pad, n - pad], axis=axis)
-            tail += lo
-            head += hi
-    return dxp
+    nd = xp.ndim - 1
+    axes = tuple(range(1, nd + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k,) * nd, axis=axes)
+    # window-first order: (channel, *taps, *positions)
+    order = (0,) + tuple(range(nd + 1, 2 * nd + 1)) + axes
+    return windows.transpose(order).reshape(groups, xp.shape[0] // groups * k**nd, -1)
 
 
 def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
@@ -254,9 +247,12 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
 
     ``x`` is (C_in, *S) and ``w`` is (C_out, C_in / groups, k, ..., k) with
     odd k; stride 1 and (k - 1) / 2 padding keep the spatial shape S.  The
-    window matrix of the padded input, (groups, C_in / groups * k^d, |S|),
-    meets the weights in one batched matmul.  The backward pass rebuilds it
-    from the padded input rather than keeping it on the tape.
+    window matrix of the padded input meets the weights in one batched matmul.
+    The weight gradient is the output gradient times the transposed window
+    matrix, rebuilt from the padded input.  The input gradient is the same
+    correlation of the output gradient, with the kernel flipped on every
+    spatial axis and its in and out channels swapped within each group: the
+    adjoint of a same-size correlation, zero-padded or circular alike.
     """
     c_in, *spatial = x.value.shape
     c_out, c_in_g, k = w.value.shape[:3]
@@ -269,21 +265,11 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
             "groups dividing C_out)"
         )
     nd = len(spatial)
+    c_out_g = c_out // groups
     pad = (k - 1) // 2
     xp = _pad(x.value, pad, padding, op)
-    taps = (k,) * nd
-    # window-first order: rows (channel, tap), columns the output positions
-    order = (0,) + tuple(range(nd + 1, 2 * nd + 1)) + tuple(range(1, nd + 1))
-    col_shape = (groups, c_in_g * k**nd, int(np.prod(spatial)))
-
-    def im2col():
-        windows = np.lib.stride_tricks.sliding_window_view(
-            xp, taps, axis=tuple(range(1, nd + 1))
-        )
-        return windows.transpose(order).reshape(col_shape)
-
-    wm = w.value.reshape(groups, c_out // groups, -1)
-    out = np.matmul(wm, im2col()).reshape(c_out, *spatial)
+    wm = w.value.reshape(groups, c_out_g, -1)
+    out = np.matmul(wm, _windows(xp, k, groups)).reshape(c_out, *spatial)
     parents = [x, w]
     if bias is not None:
         if bias.value.shape != (c_out,):
@@ -294,15 +280,14 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
     def vjp(g, i):
         if i == 2:
             return g.sum(axis=tuple(range(1, nd + 1)))
-        gm = g.reshape(groups, c_out // groups, -1)
         if i == 1:
-            return np.matmul(gm, im2col().transpose(0, 2, 1)).reshape(w.value.shape)
-        dcols = np.matmul(wm.transpose(0, 2, 1), gm).reshape(c_in, *taps, *spatial)
-        dxp = np.zeros_like(xp)
-        for tap in np.ndindex(*taps):
-            window = tuple(slice(t, t + n) for t, n in zip(tap, spatial))
-            dxp[(slice(None),) + window] += dcols[(slice(None),) + tap]
-        return _unpad(dxp, pad, padding)
+            gm = g.reshape(groups, c_out_g, -1)
+            cols = _windows(xp, k, groups).transpose(0, 2, 1)
+            return np.matmul(gm, cols).reshape(w.value.shape)
+        w_adj = w.value.reshape(groups, c_out_g, c_in_g, *w.value.shape[2:])
+        w_adj = np.flip(w_adj, tuple(range(3, nd + 3))).swapaxes(1, 2)
+        cols = _windows(_pad(g, pad, padding, op), k, groups)
+        return np.matmul(w_adj.reshape(groups, c_in_g, -1), cols).reshape(c_in, *spatial)
 
     return Node(out, parents, vjp, op=op)
 

@@ -84,6 +84,9 @@ class ExperimentConfig:
         _check_keys(tr, _TRAIN_KEYS, "train")
         ev = dict(raw.get("eval", {}))
         _check_keys(ev, _EVAL_KEYS, "eval")
+        n_eval_tasks = int(ev.get("n_tasks", 500))
+        if n_eval_tasks < 1:
+            raise ConfigError(f"eval.n_tasks must be at least 1, got {n_eval_tasks}")
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         return cls(
             process=process,
@@ -93,7 +96,7 @@ class ExperimentConfig:
             init_seed=int(model.get("init_seed", 0)),
             margin=model.get("margin"),
             train=TrainConfig(**tr),
-            n_eval_tasks=int(ev.get("n_tasks", 500)),
+            n_eval_tasks=n_eval_tasks,
             shift=float(ev.get("shift", 4.0)),
             out_dir=raw.get("out_dir", "runs/default"),
             config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
@@ -136,8 +139,7 @@ def _write_csv(path, header_lines, columns, rows):
         writer.writerows(rows)
 
 
-def _eval_tasks(config: ExperimentConfig, seed: int, n: int | None = None):
-    n = n or config.n_eval_tasks
+def _eval_tasks(config: ExperimentConfig, seed: int, n: int):
     return [
         sample_task(config.process, derive_seed(seed, 3, i)) for i in range(n)
     ]
@@ -150,7 +152,7 @@ EVAL_COLUMNS = (
 
 
 def cmd_generate(config: ExperimentConfig, args):
-    seed, out, n_tasks = args.seed, args.out, args.tasks or config.n_eval_tasks
+    seed, out, n_tasks = args.seed, args.out, args.tasks
     out.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
     tasks = []
@@ -241,7 +243,7 @@ def cmd_oracle(config: ExperimentConfig, args):
 def cmd_extrapolate(config: ExperimentConfig, args):
     seed, out, shift = args.seed, args.out, args.shift
     model = _load_model(config, args.checkpoint)
-    tasks = _eval_tasks(config, seed)
+    tasks = _eval_tasks(config, seed, config.n_eval_tasks)
     in_range = evaluate(model, tasks)
     shifted = evaluate(model, [t.translated(shift) for t in tasks])
     delta = shifted.mean_ll - in_range.mean_ll
@@ -343,6 +345,12 @@ def cmd_equivariance_audit(config: ExperimentConfig, args):
     print(f"equivariance audit written to {out / 'equivariance.csv'}")
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 # command -> (handler, the flags it reads besides --config and --seed)
 COMMANDS = {
     "generate-data": (cmd_generate, ("out", "tasks")),
@@ -358,7 +366,9 @@ COMMANDS = {
 FLAGS = {
     "out": dict(help="output directory (default: the config's out_dir)"),
     "checkpoint": dict(help="parameter checkpoint to load (default: the initialisation)"),
-    "tasks": dict(type=int, help="number of tasks (default: the config's eval.n_tasks)"),
+    "tasks": dict(
+        type=_positive_int, help="number of tasks (default: the config's eval.n_tasks)"
+    ),
     "shift": dict(type=float, help="input translation (default: the config's eval.shift)"),
 }
 
@@ -385,6 +395,8 @@ def main(argv=None) -> int:
         config = ExperimentConfig.from_file(args.config)
         if "out" in args:
             args.out = Path(args.out or config.out_dir)
+        if "tasks" in args and args.tasks is None:
+            args.tasks = config.n_eval_tasks
         if "shift" in args and args.shift is None:
             args.shift = config.shift
         COMMANDS[args.command][0](config, args)

@@ -128,6 +128,28 @@ class TestGenerateData:
             outs.append((out / "tasks.jsonl").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "flags, config_n_tasks, code",
+        [
+            (["--tasks", "0"], 4, 2),  # argparse rejects it
+            (["--tasks", "-2"], 4, 2),
+            ([], 0, 1),  # the config's default is rejected as a ConfigError
+        ],
+    )
+    def test_task_counts_below_one_rejected(
+        self, tmp_path, capsys, flags, config_n_tasks, code
+    ):
+        config = write_config(tmp_path, eval={"n_tasks": config_n_tasks})
+        out = tmp_path / "data"
+        argv = ["generate-data", "--config", str(config), "--out", str(out), *flags]
+        try:
+            got = main(argv)
+        except SystemExit as exit_:
+            got = exit_.code
+        assert got == code
+        assert "at least 1" in capsys.readouterr().err
+        assert not (out / "tasks.jsonl").exists()
+
     def test_lv_manifest_reports_rejection_rate(self, tmp_path):
         config = write_config(tmp_path, process={
             "kind": "lotka-volterra", "n_context": [3, 6], "n_target": [3, 6],

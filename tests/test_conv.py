@@ -11,7 +11,9 @@ import pytest
 from convcnp import autodiff as ad
 from reference_conv import reference_conv
 
-SHAPES = {1: (3, 11), 2: (3, 7, 9)}  # non-square 2-D input
+SPATIAL = {1: (11,), 2: (7, 9)}  # non-square 2-D input
+# (C_in, groups, C_out); "grouped" has C_in / groups > 1 and C_out / groups > 1
+GROUPINGS = {"one": (3, 1, 4), "depthwise": (3, 3, 6), "grouped": (4, 2, 6)}
 
 
 def _tape_conv(x, w, bias, padding, groups, g):
@@ -26,13 +28,11 @@ def _tape_conv(x, w, bias, padding, groups, g):
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("padding", ["zeros", "circular"])
-@pytest.mark.parametrize("groups", ["one", "depthwise"])
+@pytest.mark.parametrize("groups", list(GROUPINGS))
 def test_matches_reference(ndim, k, padding, groups):
     rng = np.random.default_rng(100 * ndim + 10 * k + len(padding) + len(groups))
-    x = rng.normal(size=SHAPES[ndim])
-    c_in = x.shape[0]
-    n_groups = 1 if groups == "one" else c_in
-    c_out = 4 if groups == "one" else 2 * c_in  # depthwise with multiplier 2
+    c_in, n_groups, c_out = GROUPINGS[groups]
+    x = rng.normal(size=(c_in,) + SPATIAL[ndim])
     w = rng.normal(size=(c_out, c_in // n_groups) + (k,) * ndim)
     for bias in (None, rng.normal(size=c_out)):
         ref_out, ref_vjp = reference_conv(x, w, bias, padding, n_groups)
@@ -42,6 +42,33 @@ def test_matches_reference(ndim, k, padding, groups):
         for got, want in zip(grads, ref_vjp(g), strict=True):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _central_diff(f, a, step=1e-5):
+    grad = np.zeros_like(a)
+    for idx in np.ndindex(a.shape):
+        d = np.zeros_like(a)
+        d[idx] = step
+        grad[idx] = (f(a + d) - f(a - d)) / (2 * step)
+    return grad
+
+
+@pytest.mark.parametrize("x_shape", [(2, 1), (2, 1, 3)])
+def test_circular_axis_narrower_than_padding(x_shape):
+    """With k = 5 the padding (2) exceeds an axis of 1, so each window wraps round it."""
+    rng = np.random.default_rng(len(x_shape))
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(3, 2) + (5,) * (len(x_shape) - 1))
+    g = rng.normal(size=(3,) + x_shape[1:])
+    conv = ad.conv1d if x.ndim == 2 else ad.conv2d
+
+    def loss(x, w):
+        return (conv(ad.constant(x), ad.constant(w), padding="circular").value * g).sum()
+
+    _, grads = _tape_conv(x, w, None, "circular", 1, g)
+    want = (_central_diff(lambda a: loss(a, w), x), _central_diff(lambda a: loss(x, a), w))
+    for got, numeric in zip(grads, want, strict=True):
+        np.testing.assert_allclose(got, numeric, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize(
