@@ -22,15 +22,10 @@ from . import autodiff as ad
 from .kernels import DATA_KERNELS
 from .models import CNPBaseline, CnnSpec, ConvCNP, nll_loss
 from .oracle import gp_oracle_ll
-from .synthdata import ProcessSpec, Task, sample_task
+from .synthdata import ProcessSpec, check_settings, sample_task
 from .training import TrainConfig, derive_seed, evaluate, train
 
 MODEL_VARIANTS = ("convcnp-small", "convcnp-xl", "cnp")
-
-_PROCESS_KEYS = {f.name for f in fields(ProcessSpec)}
-_MODEL_KEYS = {"variant", "gamma", "sigma_floor", "init_seed", "margin"}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
-_EVAL_KEYS = {"n_tasks", "shift"}
 _TOP_KEYS = {"process", "model", "train", "eval", "out_dir"}
 
 
@@ -44,79 +39,92 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-@dataclass
+def _section(raw: dict, name: str, base):
+    """``base`` with the settings of the config's ``name`` section replaced."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    _check_keys(section, {f.name for f in fields(base)}, name)
+    return replace(base, **section)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """The ``model`` section; a ConvCNP's grid margin follows its receptive field."""
+
+    variant: str = "convcnp-small"
+    gamma: float = 32.0
+    sigma_floor: bool = True
+    init_seed: int = 0
+
+    def __post_init__(self):
+        if self.variant not in MODEL_VARIANTS:
+            raise ConfigError(
+                f"model.variant must be one of {MODEL_VARIANTS}, got {self.variant!r}"
+            )
+        check_settings(self, "model", (
+            ("gamma", float, "above", 0), ("sigma_floor", bool),
+            ("init_seed", int, "at least", 0),
+        ))
+
+
+@dataclass(frozen=True)
+class EvalSpec:
+    """Held-out tasks and input shift: the defaults of ``--tasks`` and ``--shift``."""
+
+    n_tasks: int = 500
+    shift: float = 4.0
+
+    def __post_init__(self):
+        check_settings(self, "eval", (("n_tasks", int, "at least", 1), ("shift", float)))
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     process: ProcessSpec
-    model_variant: str
-    gamma: float
-    sigma_floor: bool
-    init_seed: int
-    margin: float | None
+    model: ModelSpec
     train: TrainConfig
-    n_eval_tasks: int
-    shift: float
+    eval: EvalSpec
     out_dir: str
     config_hash: str
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as f:
-            raw = json.load(f)
-        return cls.from_dict(raw)
+            return cls.from_dict(json.load(f))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         _check_keys(raw, _TOP_KEYS, "config")
-        proc = dict(raw.get("process", {}))
-        _check_keys(proc, _PROCESS_KEYS, "process")
-        kind = proc.pop("kind", "eq")
-        process = replace(ProcessSpec.default_for(kind), **proc)
-        model = dict(raw.get("model", {}))
-        _check_keys(model, _MODEL_KEYS, "model")
-        variant = model.get("variant", "convcnp-small")
-        if variant not in MODEL_VARIANTS:
-            raise ConfigError(
-                f"unknown model variant '{variant}', expected one of {MODEL_VARIANTS}"
-            )
-        tr = dict(raw.get("train", {}))
-        if "seed" in tr:
+        proc = raw.get("process")
+        kind = proc.get("kind", "eq") if isinstance(proc, dict) else "eq"
+        train = _section(raw, "train", TrainConfig())
+        if "seed" in raw.get("train", {}):
             raise ConfigError("train.seed is not accepted; pass --seed instead")
-        _check_keys(tr, _TRAIN_KEYS, "train")
-        ev = dict(raw.get("eval", {}))
-        _check_keys(ev, _EVAL_KEYS, "eval")
-        n_eval_tasks = int(ev.get("n_tasks", 500))
-        if n_eval_tasks < 1:
-            raise ConfigError(f"eval.n_tasks must be at least 1, got {n_eval_tasks}")
+        out_dir = raw.get("out_dir", "runs/default")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         return cls(
-            process=process,
-            model_variant=variant,
-            gamma=float(model.get("gamma", 32.0)),
-            sigma_floor=bool(model.get("sigma_floor", True)),
-            init_seed=int(model.get("init_seed", 0)),
-            margin=model.get("margin"),
-            train=TrainConfig(**tr),
-            n_eval_tasks=n_eval_tasks,
-            shift=float(ev.get("shift", 4.0)),
-            out_dir=raw.get("out_dir", "runs/default"),
+            process=_section(raw, "process", ProcessSpec.default_for(kind)),
+            model=_section(raw, "model", ModelSpec()),
+            train=train,
+            eval=_section(raw, "eval", EvalSpec()),
+            out_dir=out_dir,
             config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
         )
 
     def build_model(self):
         dim_y = 2 if self.process.kind == "lotka-volterra" else 1
-        if self.model_variant == "cnp":
-            return CNPBaseline(dim_y=dim_y, init_seed=self.init_seed)
-        cnn = (
-            CnnSpec.xl(dim_y) if self.model_variant == "convcnp-xl"
-            else CnnSpec.small(dim_y)
-        )
+        spec = self.model
+        if spec.variant == "cnp":
+            return CNPBaseline(dim_y=dim_y, init_seed=spec.init_seed)
+        cnn = CnnSpec.xl if spec.variant == "convcnp-xl" else CnnSpec.small
         return ConvCNP(
-            dim_y=dim_y,
-            gamma=self.gamma,
-            cnn=cnn,
-            margin=self.margin,
-            sigma_floor=self.sigma_floor,
-            init_seed=self.init_seed,
+            dim_y=dim_y, gamma=spec.gamma, cnn=cnn(dim_y),
+            sigma_floor=spec.sigma_floor, init_seed=spec.init_seed,
         )
 
 
@@ -193,7 +201,7 @@ def cmd_train(config: ExperimentConfig, args):
     ad.save_checkpoint(model.params, out / "last.json")
     model.params.load_state_dict(best_state)
     ad.save_checkpoint(model.params, out / "best.json")
-    print(f"trained {config.model_variant}: best val LL {log.best_val_ll:.4f}")
+    print(f"trained {config.model.variant}: best val LL {log.best_val_ll:.4f}")
 
 
 def _load_model(config: ExperimentConfig, checkpoint):
@@ -213,7 +221,7 @@ def cmd_evaluate(config: ExperimentConfig, args):
         _provenance(config, args.seed),
         EVAL_COLUMNS,
         [(
-            config.model_variant, config.process.kind, summary.n_tasks,
+            config.model.variant, config.process.kind, summary.n_tasks,
             summary.mean_ll, summary.stderr_ll, summary.mse, summary.stderr_mse,
             "in-range",
         )],
@@ -243,7 +251,7 @@ def cmd_oracle(config: ExperimentConfig, args):
 def cmd_extrapolate(config: ExperimentConfig, args):
     seed, out, shift = args.seed, args.out, args.shift
     model = _load_model(config, args.checkpoint)
-    tasks = _eval_tasks(config, seed, config.n_eval_tasks)
+    tasks = _eval_tasks(config, seed, config.eval.n_tasks)
     in_range = evaluate(model, tasks)
     shifted = evaluate(model, [t.translated(shift) for t in tasks])
     delta = shifted.mean_ll - in_range.mean_ll
@@ -252,7 +260,7 @@ def cmd_extrapolate(config: ExperimentConfig, args):
         _provenance(config, seed) + [f"# shift={shift}"],
         ("model", "process", "n_tasks", "ll_in_range", "ll_shifted", "delta_ll"),
         [(
-            config.model_variant, config.process.kind, in_range.n_tasks,
+            config.model.variant, config.process.kind, in_range.n_tasks,
             in_range.mean_ll, shifted.mean_ll, delta,
         )],
     )
@@ -265,13 +273,7 @@ def cmd_dump(config: ExperimentConfig, args):
     task = sample_task(config.process, derive_seed(seed, 4, 0))
     inputs = np.concatenate([task.context_x, task.target_x])
     xs = np.linspace(inputs.min(), inputs.max(), 200)
-    probe = Task(
-        context_x=task.context_x,
-        context_y=task.context_y,
-        target_x=xs,
-        target_y=np.zeros((len(xs), task.dim_y)),
-        process=task.process,
-    )
+    probe = replace(task, target_x=xs, target_y=np.zeros((len(xs), task.dim_y)))
     pred = model.forward(probe)
     rows = []
     for c in range(task.dim_y):
@@ -314,7 +316,7 @@ def cmd_gradcheck(config: ExperimentConfig, args):
 
 
 def cmd_equivariance_audit(config: ExperimentConfig, args):
-    if config.model_variant == "cnp":
+    if config.model.variant == "cnp":
         raise ConfigError(
             "equivariance-audit needs a ConvCNP variant; 'cnp' has no grid to shift"
         )
@@ -322,20 +324,13 @@ def cmd_equivariance_audit(config: ExperimentConfig, args):
     rows = []
     task = sample_task(config.process, derive_seed(seed, 5, 0))
     for gamma in (16.0, 32.0, 64.0):
-        model = replace(config, gamma=gamma).build_model()
+        model = replace(config, model=replace(config.model, gamma=gamma)).build_model()
         base = model.forward(task)
         exact_shift = round(shift * gamma) / gamma
-        moved = model.forward(task.translated(exact_shift))
-        dev_exact = max(
-            np.abs(moved.mean - base.mean).max(),
-            np.abs(moved.std - base.std).max(),
-        )
-        moved_arb = model.forward(task.translated(shift + 0.3 / 7.0))
-        dev_arb = max(
-            np.abs(moved_arb.mean - base.mean).max(),
-            np.abs(moved_arb.std - base.std).max(),
-        )
-        rows.append((gamma, exact_shift, dev_exact, dev_arb))
+        moved = [model.forward(task.translated(t)) for t in (exact_shift, shift + 0.3 / 7.0)]
+        rows.append((gamma, exact_shift, *(
+            max(np.abs(m.mean - base.mean).max(), np.abs(m.std - base.std).max()) for m in moved
+        )))
     _write_csv(
         out / "equivariance.csv",
         _provenance(config, seed),
@@ -396,9 +391,9 @@ def main(argv=None) -> int:
         if "out" in args:
             args.out = Path(args.out or config.out_dir)
         if "tasks" in args and args.tasks is None:
-            args.tasks = config.n_eval_tasks
+            args.tasks = config.eval.n_tasks
         if "shift" in args and args.shift is None:
-            args.shift = config.shift
+            args.shift = config.eval.shift
         COMMANDS[args.command][0](config, args)
     except (ConfigError, FileNotFoundError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,37 +8,29 @@ separate EQ instances with a trainable log length scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 
 
-@dataclass(frozen=True)
 class EQ:
-    """Exponentiated-quadratic kernel exp(-0.5 ((x-x')/l)^2)."""
-
-    length_scale: float = 0.25
+    """Exponentiated-quadratic kernel exp(-0.5 ((x-x')/l)^2), length scale l = 0.25."""
 
     def __call__(self, x, x2):
         d = np.subtract.outer(np.asarray(x, float), np.asarray(x2, float))
-        return np.exp(-0.5 * (d / self.length_scale) ** 2)
+        return np.exp(-0.5 * (d / 0.25) ** 2)
 
 
-@dataclass(frozen=True)
 class Matern52:
-    """Matern-5/2 with the rescaled distance d = input_scale * |x - x'|.
+    """Matern-5/2 with the rescaled distance d = 4 * |x - x'|.
 
-    (1 + sqrt(5)*d + (5/3)*d^2) exp(-sqrt(5)*d); input_scale 4 is a length
+    (1 + sqrt(5)*d + (5/3)*d^2) exp(-sqrt(5)*d); the factor 4 is a length
     scale of 0.25.  The factor 4 belongs in the distance: written instead as
     a 4*sqrt(5)*d linear coefficient, the expression is not positive definite.
     """
 
-    input_scale: float = 4.0
-
     def __call__(self, x, x2):
-        d = self.input_scale * np.abs(
+        d = 4.0 * np.abs(
             np.subtract.outer(np.asarray(x, float), np.asarray(x2, float))
         )
         return (1.0 + np.sqrt(5.0) * d + (5.0 / 3.0) * d**2) * np.exp(
@@ -46,7 +38,6 @@ class Matern52:
         )
 
 
-@dataclass(frozen=True)
 class WeaklyPeriodic:
     """Periodic-feature EQ kernel with a wide EQ envelope."""
 
@@ -60,8 +51,8 @@ class WeaklyPeriodic:
 
 
 DATA_KERNELS = {
-    "eq": EQ(length_scale=0.25),
-    "matern": Matern52(input_scale=4.0),
+    "eq": EQ(),
+    "matern": Matern52(),
     "weakly-periodic": WeaklyPeriodic(),
 }
 

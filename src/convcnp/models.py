@@ -47,11 +47,11 @@ class CnnSpec:
         return cls(channels=(16, 32, 16, 2 * dim_y))
 
     @classmethod
-    def xl(cls, dim_y: int = 1, base: int = 8) -> "CnnSpec":
-        up = tuple(base * 2**i for i in range(6))
-        down = tuple(base * 2**i for i in range(4, -1, -1))
+    def xl(cls, dim_y: int = 1) -> "CnnSpec":
+        """12 layers: 8 channels doubling to 256 and back, with U-Net skips."""
+        up = tuple(8 * 2**i for i in range(6))
         return cls(
-            channels=up + down + (2 * dim_y,),
+            channels=up + up[-2::-1] + (2 * dim_y,),
             skips={8: (5, 7), 9: (4, 8), 10: (3, 9), 11: (2, 10), 12: (1, 11)},
         )
 
@@ -184,18 +184,15 @@ class ConvCNP:
         dim_y: int = 1,
         gamma: float = 32.0,
         cnn: CnnSpec | None = None,
-        margin: float | None = None,
         sigma_floor: bool = True,
         init_seed: int = 0,
     ):
         self.dim_y = dim_y
         self.gamma = float(gamma)
         self.cnn = cnn or CnnSpec.small(dim_y)
-        # Default margin: CNN receptive-field half-width in input units, so
-        # boundary effects stay outside the data range.
-        if margin is None:
-            margin = self.cnn.receptive_field_steps() / self.gamma
-        self.margin = float(margin)
+        # The CNN's receptive-field half-width in input units, so boundary
+        # effects stay outside the data range.
+        self.margin = self.cnn.receptive_field_steps() / self.gamma
         self.sigma_floor = sigma_floor
         self.in_channels = 1 + dim_y
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -44,14 +45,7 @@ class Task:
 
     def translated(self, tau: float) -> "Task":
         """The same task with all inputs shifted by ``tau``."""
-        return Task(
-            context_x=self.context_x + tau,
-            context_y=self.context_y,
-            target_x=self.target_x + tau,
-            target_y=self.target_y,
-            process=self.process,
-            seed=self.seed,
-        )
+        return replace(self, context_x=self.context_x + tau, target_x=self.target_x + tau)
 
     def to_json(self) -> dict:
         return {
@@ -230,6 +224,31 @@ GP_KINDS = tuple(DATA_KERNELS)
 PROCESS_KINDS = GP_KINDS + ("sawtooth", "lotka-volterra")
 
 
+def fits(value, kind: type, bound="at least", low=-math.inf) -> bool:
+    """The value rule of every config setting: a bool ``kind`` takes true or false;
+    an int takes an integer and a float a finite number, neither a bool, ``bound``
+    ("at least" or "above") ``low``."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        return False
+    finite = abs(value) <= sys.float_info.max  # not NaN or infinite, and fits a float
+    return finite and (value > low if bound == "above" else value >= low)
+
+
+def check_settings(spec, section: str, rules) -> None:
+    """Raise ValueError naming ``<section>.<name>`` at the first field of ``spec``
+    that breaks its ``(name, kind[, bound, low])`` rule; store reals as floats."""
+    for name, kind, *bound in rules:
+        value = getattr(spec, name)
+        if not fits(value, kind, *bound):
+            rule = {bool: "true or false", int: "an integer", float: "a finite number"}[kind]
+            limit = ", {} {}".format(*bound) if bound else ""
+            raise ValueError(f"{section}.{name} must be {rule}{limit}, got {value!r}")
+        if kind is float:
+            object.__setattr__(spec, name, float(value))  # the specs are frozen
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """Which stochastic process to sample tasks from, and how.
@@ -246,18 +265,18 @@ class ProcessSpec:
 
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
-            raise ValueError(f"unknown process kind '{self.kind}'")
-        for name, number, least, rule in (
-            ("x_range", numbers.Real, -math.inf, "finite numbers [low, high] with low"),
-            ("n_context", numbers.Integral, 0, "integers [low, high] with 0 <= low"),
-            ("n_target", numbers.Integral, 1, "integers [low, high] with 1 <= low"),
+            raise ValueError(f"process.kind must be one of {PROCESS_KINDS}, got {self.kind!r}")
+        for name, kind, low, rule in (
+            ("x_range", float, -math.inf, "finite numbers [low, high] with low"),
+            ("n_context", int, 0, "integers [low, high] with 0 <= low"),
+            ("n_target", int, 1, "integers [low, high] with 1 <= low"),
         ):
             pair = getattr(self, name)
             if not (
                 isinstance(pair, (tuple, list))
                 and len(pair) == 2
-                and all(isinstance(v, number) and math.isfinite(v) for v in pair)
-                and least <= pair[0] <= pair[1]
+                and all(fits(v, kind, "at least", low) for v in pair)
+                and pair[0] <= pair[1]
             ):
                 raise ValueError(f"process.{name} must be two {rule} <= high, got {pair!r}")
             object.__setattr__(self, name, tuple(pair))  # a config gives lists

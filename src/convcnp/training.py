@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .models import log_likelihood_per_point, nll_loss
 from .oracle import standard_error
-from .synthdata import ProcessSpec, sample_task
+from .synthdata import ProcessSpec, check_settings, sample_task
 
 
 def derive_seed(*parts) -> int:
@@ -19,7 +19,7 @@ def derive_seed(*parts) -> int:
     return int(state[0] >> 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run.
 
@@ -37,12 +37,12 @@ class TrainConfig:
     n_val_tasks: int = 128
 
     def __post_init__(self):
-        for name in ("epochs", "batches_per_epoch", "batch_size", "lr",
-                     "early_stop_patience", "n_val_tasks"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"TrainConfig.{name} must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("TrainConfig.weight_decay must be non-negative")
+        check_settings(self, "train", (
+            ("epochs", int, "at least", 1), ("batches_per_epoch", int, "at least", 1),
+            ("batch_size", int, "at least", 1), ("lr", float, "above", 0),
+            ("weight_decay", float, "at least", 0), ("seed", int, "at least", 0),
+            ("early_stop_patience", int, "at least", 1), ("n_val_tasks", int, "at least", 1),
+        ))
 
     @classmethod
     def desk_scale(cls, seed: int = 0) -> "TrainConfig":
@@ -63,10 +63,7 @@ class TrainLog:
     records: list = field(default_factory=list)
 
     def to_rows(self):
-        return [
-            (r.epoch, r.train_nll, r.val_ll, r.seconds, r.param_norm)
-            for r in self.records
-        ]
+        return [astuple(r) for r in self.records]
 
     @property
     def best_val_ll(self) -> float:

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,9 +55,9 @@ class TestConfig:
     def test_defaults(self, tmp_path):
         path = write_config(tmp_path)
         cfg = ExperimentConfig.from_file(path)
-        assert cfg.model_variant == "convcnp-small"
+        assert cfg.model.variant == "convcnp-small"
         assert cfg.process.kind == "eq"
-        assert cfg.gamma == 8.0
+        assert cfg.model.gamma == 8.0
         assert len(cfg.config_hash) == 16
 
     def test_hash_changes_with_content(self, tmp_path):
@@ -92,6 +94,12 @@ class TestConfig:
             write_config(tmp_path, "c.json", model={"variant": "cnp"})
         )
         assert isinstance(cnp.build_model(), CNPBaseline)
+
+    def test_readme_minimal_config_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S)
+        cfg = ExperimentConfig.from_dict(json.loads(block.group(1)))
+        assert cfg.model.variant == "convcnp-small"
 
     def test_lv_process_gets_two_outputs(self, tmp_path):
         cfg = ExperimentConfig.from_file(
@@ -162,23 +170,48 @@ class TestGenerateData:
         manifest = json.loads((out / "manifest.json").read_text())
         assert 0.0 <= manifest["lv_rejection_rate"] < 1.0
 
-    @pytest.mark.parametrize(
-        "process, field",
-        [
-            ({"n_context": [5]}, "n_context"),
-            ({"x_range": 5}, "x_range"),
-            ({"n_context": [50, 3]}, "n_context"),
-            ({"n_target": [0, 0]}, "n_target"),
-        ],
-        ids=["one-bound", "scalar-range", "low-above-high", "no-targets"],
-    )
-    def test_bad_range_is_a_config_error(self, tmp_path, capsys, process, field):
-        config = write_config(tmp_path, process=process)
-        out = tmp_path / "data"
-        assert main(["generate-data", "--config", str(config), "--out", str(out)]) == 1
+    # (section, key, value): None as the key replaces the whole section, and
+    # None as the section sets a top-level key
+    MALFORMED = {
+        "one-bound": ("process", "n_context", [5]),
+        "scalar-range": ("process", "x_range", 5),
+        "low-above-high": ("process", "n_context", [50, 3]),
+        "no-targets": ("process", "n_target", [0, 0]),
+        "bool-in-count-pair": ("process", "n_context", [True, 5]),
+        "section-not-object": ("process", None, [1, 2]),
+        "string-flag": ("model", "sigma_floor", "false"),
+        "fractional-init-seed": ("model", "init_seed", 1.9),
+        "bool-gamma": ("model", "gamma", True),
+        "zero-gamma": ("model", "gamma", 0),
+        "negative-gamma": ("model", "gamma", -4),
+        "gamma-beyond-float": ("model", "gamma", 10**400),
+        "nan-lr": ("train", "lr", float("nan")),
+        "fractional-epochs": ("train", "epochs", 1.5),
+        "fractional-n-tasks": ("eval", "n_tasks", 2.7),
+        "bool-n-tasks": ("eval", "n_tasks", True),
+        "infinite-shift": ("eval", "shift", float("inf")),
+        "null-shift": ("eval", "shift", None),
+        "scalar-section": ("eval", None, 3),
+        "numeric-out-dir": (None, "out_dir", 5),
+    }
+
+    @pytest.mark.parametrize("section, key, value", MALFORMED.values(), ids=MALFORMED)
+    def test_bad_range_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        config = write_config(tmp_path)
+        raw = json.loads(config.read_text())
+        if section is None:
+            raw[key] = value
+        elif key is None:
+            raw[section] = value
+        else:
+            raw[section][key] = value
+        config.write_text(json.dumps(raw))  # NaN and Infinity as json.load reads them
+        assert main(["generate-data", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"process.{field}" in err
-        assert not out.exists()
+        name = ".".join(part for part in (section, key) if part)
+        assert err.startswith("error: ") and name in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestTrainEvaluate:

@@ -28,7 +28,7 @@ def test_eq_at_zero_distance():
 
 
 def test_eq_one_length_scale_away():
-    assert value_at(EQ(length_scale=0.25), 0.0, 0.25) == pytest.approx(
+    assert value_at(EQ(), 0.0, 0.25) == pytest.approx(
         np.exp(-0.5)
     )
 

@@ -33,7 +33,7 @@ class TestCnnSpec:
         assert KERNEL_SIZE == 5 and not spec.skips
 
     def test_xl_shape(self):
-        spec = CnnSpec.xl(dim_y=1, base=8)
+        spec = CnnSpec.xl(dim_y=1)
         assert spec.n_layers == 12
         assert spec.channels[:6] == (8, 16, 32, 64, 128, 256)
         assert spec.channels[6:] == (128, 64, 32, 16, 8, 2)
@@ -128,7 +128,7 @@ class TestConvCNPForward:
         assert ConvCNP(dim_y=1).params.n_parameters() == 5508
 
     def test_xl_forward_runs(self):
-        model = ConvCNP(gamma=8.0, cnn=CnnSpec.xl(dim_y=1, base=2))
+        model = ConvCNP(gamma=8.0, cnn=CnnSpec.xl(dim_y=1))
         pred = model.forward(tiny_task(8, n_ctx=4, n_tgt=3))
         assert pred.mean.shape == (3, 1)
         assert np.all(pred.std > 0)

@@ -64,6 +64,8 @@ class TestTrainConfig:
             {"lr": 0.0},
             {"weight_decay": -1e-6},
             {"n_val_tasks": 0},
+            {"epochs": 1.5},
+            {"batch_size": True},
         ],
     )
     def test_rejects_invalid(self, bad):
