@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .kernels import DATA_KERNELS
 from .models import CNPBaseline, CnnSpec, ConvCNP, nll_loss
 from .oracle import gp_oracle_ll
-from .synthdata import ProcessSpec, check_settings, sample_task
+from .synthdata import ProcessSpec, check_settings, fits, sample_task
 from .training import TrainConfig, derive_seed, evaluate, train
 
 MODEL_VARIANTS = ("convcnp-small", "convcnp-xl", "cnp")
@@ -346,6 +346,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    if not fits(float(text), float):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return float(text)
+
+
 # command -> (handler, the flags it reads besides --config and --seed)
 COMMANDS = {
     "generate-data": (cmd_generate, ("out", "tasks")),
@@ -364,7 +370,7 @@ FLAGS = {
     "tasks": dict(
         type=_positive_int, help="number of tasks (default: the config's eval.n_tasks)"
     ),
-    "shift": dict(type=float, help="input translation (default: the config's eval.shift)"),
+    "shift": dict(type=_finite_float, help="input translation (default: the config's eval.shift)"),
 }
 
 

@@ -57,9 +57,9 @@ def embed(context_x, context_y, grid: UniformGrid, log_length_scale: ad.Node) ->
 
     Returns the (1 + dim_y, T) channels, channel 0 the density:
     channels[:, i] = sum_n phi(y_n) * psi(t_i - x_n), differentiable in the
-    smoothing kernel's log length scale.  Context points are accumulated in
-    sorted-by-x order so the result is bit-identical under permutations of
-    the context set.
+    smoothing kernel's log length scale.  Context points are accumulated
+    sorted by x, then by each y column, so the result is bit-identical under
+    permutations of the context set, ties included.
     """
     context_x = np.atleast_1d(np.asarray(context_x, float))
     context_y = np.asarray(context_y, float)
@@ -68,12 +68,9 @@ def embed(context_x, context_y, grid: UniformGrid, log_length_scale: ad.Node) ->
     if context_x.size == 0:
         return ad.constant(np.zeros((1 + context_y.shape[1], grid.n_points)))
 
-    order = np.argsort(context_x, kind="stable")
-    context_x = context_x[order]
+    order = np.lexsort((*context_y.T[::-1], context_x))
     context_y = context_y[order]
-
-    distances = context_x[:, None] - grid.points[None, :]  # (N, T)
-    psi = learnable_psi_eval(log_length_scale, distances)
+    psi = learnable_psi_eval(log_length_scale, grid, context_x[order], grid_axis=1)  # (N, T)
     phi = np.concatenate([np.ones((1, len(context_y))), context_y.T])  # (1 + dim_y, N)
     return ad.matmul(ad.constant(phi), psi)
 

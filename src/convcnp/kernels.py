@@ -94,21 +94,45 @@ def init_log_length_scale(gamma: float) -> float:
     return float(np.log(2.0 / gamma))
 
 
-def learnable_psi_eval(log_length_scale: ad.Node, distances) -> ad.Node:
-    """Differentiable EQ weights exp(-0.5 (d / l)^2), l = exp(log_length_scale).
+# exp underflows to exactly 0.0 below -745.13, so exp(-0.5 (d / l)^2) is 0.0
+# wherever d is beyond UNDERFLOW_REACH length scales (an exponent below -746)
+UNDERFLOW_REACH = np.sqrt(2.0 * 746.0)
 
-    One tape node; gradient flows to the log length scale, and ``distances``
-    is held fixed.
+
+def learnable_psi_eval(log_length_scale: ad.Node, grid, xs, grid_axis: int) -> ad.Node:
+    """Differentiable EQ weights exp(-0.5 (d / l)^2), l = exp(log_length_scale), between
+    a uniform grid's points and the inputs ``xs``: (T, M) if ``grid_axis`` is 0, else (M, T).
+
+    exp is taken only on each input's window of grid points: those within
+    UNDERFLOW_REACH length scales, found by index arithmetic, with one point of
+    slack each side.  The other entries stay 0, as exp gives.  A window over 3/4
+    of the grid evaluates every entry.  One tape node; gradient flows to the log
+    length scale.
     """
-    d2 = np.asarray(distances, float) ** 2
+    xs = np.atleast_1d(np.asarray(xs, float))
     inv_l2 = np.exp(log_length_scale.value * -2.0)  # 1 / l^2
+    reach = np.ceil(UNDERFLOW_REACH * np.exp(log_length_scale.value) / grid.spacing) + 1.0
+    index = None  # flat positions of the evaluated entries; None when all are
+    if 2.0 * reach + 1.0 <= 0.75 * grid.n_points:
+        steps = np.arange(int(2.0 * reach + 1.0))
+        start = np.floor((xs - grid.lower) / grid.spacing) - reach
+        start = np.fmin(np.fmax(start, 0.0), grid.n_points - steps.size).astype(int)
+        cols, rows = start[:, None] + steps, np.arange(xs.size)[:, None]  # (M, window)
+        index = cols * xs.size + rows if grid_axis == 0 else rows * grid.n_points + cols
+        d = grid.points[cols] - xs[:, None]
+    else:  # every entry, laid out as the result
+        d = np.subtract.outer(*((grid.points, xs) if grid_axis == 0 else (xs, grid.points)))
+    d2 = d**2
     exponent = d2 * (inv_l2 * -0.5)
     if not np.isfinite(exponent).all():
         raise ad.DiffError("op 'psi' produced non-finite values")
-    psi = np.exp(exponent)
-    return ad.Node(
-        psi,
-        (log_length_scale,),
-        lambda g, i: ((np.sum(g * psi * d2) * -0.5) * inv_l2) * -2.0,
-        op="psi",
-    )
+    psi = values = np.exp(exponent)
+    if index is not None:
+        psi = np.zeros((grid.n_points, xs.size) if grid_axis == 0 else (xs.size, grid.n_points))
+        psi.ravel()[index.ravel()] = values.ravel()  # a view: psi is contiguous
+
+    def vjp(g, i):
+        g = g if index is None else g.take(index)
+        return ((np.sum(g * values * d2) * -0.5) * inv_l2) * -2.0
+
+    return ad.Node(psi, (log_length_scale,), vjp, op="psi")

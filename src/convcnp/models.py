@@ -244,8 +244,9 @@ class ConvCNP:
 
         preds = []
         for task, grid, start in zip(tasks, grids, starts):
-            distances = grid.points[:, None] - np.asarray(task.target_x, float)[None, :]
-            basis = learnable_psi_eval(leaves["readout.log_length_scale"], distances)
+            basis = learnable_psi_eval(
+                leaves["readout.log_length_scale"], grid, task.target_x, grid_axis=0
+            )
             mu = ad.matmul(ad.narrow(f_mu, 1, start, grid.n_points), basis)
             sigma = ad.matmul(ad.narrow(f_sigma, 1, start, grid.n_points), basis)
             if self.sigma_floor:
@@ -296,10 +297,10 @@ class CNPBaseline:
         """One predictive distribution per task, from one encoder and one decoder pass.
 
         All context points go through the encoder together, each task's
-        sorted by x so pooling is exactly permutation invariant.  A fixed
-        (sum N, B) averaging matrix takes the per-task means; an empty
-        context pools to zeros.  A 0/1 (B, sum M) matrix then hands each
-        target its task's representation.
+        sorted by x, then by each y column, so pooling is exactly permutation
+        invariant.  A fixed (sum N, B) averaging matrix takes the per-task
+        means; an empty context pools to zeros.  A 0/1 (B, sum M) matrix then
+        hands each target its task's representation.
         """
         if leaves is None:
             leaves = self.params.constants()
@@ -308,7 +309,7 @@ class CNPBaseline:
             ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
             if ctx_x.size:
                 ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, -1)
-                order = np.argsort(ctx_x, kind="stable")  # exact permutation invariance
+                order = np.lexsort((*ctx_y.T[::-1], ctx_x))
                 inputs.append(np.vstack([ctx_x[order][None, :], ctx_y[order].T]))
             targets.append(np.atleast_1d(np.asarray(task.target_x, float)))
             n_ctx.append(ctx_x.size)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convcnp import autodiff as ad
+from convcnp.embedding import UniformGrid
 from convcnp.kernels import learnable_psi_eval
 
 
@@ -56,11 +57,16 @@ def primitive_case(op: str, seed: int):
         weights = smooth((3, 4))
         builder = lambda lv: ad.reduce_sum(ad.mul(fn(lv["x"]), ad.constant(weights)))
     elif op == "psi":
-        # the readout's shape: grid features times the (T, M) basis
-        store = ad.ParameterStore({"f": smooth((2, 3)), "log_l": smooth(())})
-        distances = rng.uniform(-1.0, 1.0, size=(3, 4))
+        # the readout's shape: grid features times the (T, M) basis, on a grid
+        # over twice as long as each input's window (l < 0.019: at most 145 points).
+        # Small features keep the loss small, and with it the central difference's
+        # roundoff against the 1e-10 gradients of features in the windows' tails.
+        grid = UniformGrid(lower=-1.5, spacing=0.01, n_points=300)
+        log_l = np.log(0.01) + 0.4 * smooth(())
+        store = ad.ParameterStore({"f": 1e-3 * smooth((2, grid.n_points)), "log_l": log_l})
+        xs = rng.uniform(-1.7, 1.7, size=4)
         builder = lambda lv: ad.reduce_sum(
-            ad.matmul(lv["f"], learnable_psi_eval(lv["log_l"], distances))
+            ad.matmul(lv["f"], learnable_psi_eval(lv["log_l"], grid, xs, 0))
         )
     elif op in ("sum", "mean"):
         # squared, so the reduction's vjp receives a gradient other than 1

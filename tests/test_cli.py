@@ -404,6 +404,17 @@ class TestOtherCommands:
         assert "--checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["extrapolate", "equivariance-audit"])
+    @pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
+    def test_shift_that_is_not_finite_is_rejected(self, tmp_path, capsys, command, shift):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(config), f"--shift={shift}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--shift" in err and "finite" in err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_config_path(self, tmp_path, capsys):
         code = main([
             "dump", "--config", str(tmp_path / "missing.json"),

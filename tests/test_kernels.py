@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convcnp import autodiff as ad
+from convcnp.embedding import UniformGrid
 from convcnp.kernels import (
     DATA_KERNELS,
     EQ,
@@ -100,41 +101,117 @@ class TestGram:
             cholesky_with_jitter(bad)
 
 
+def psi_on(log_l, grid, xs, grid_axis=1):
+    return learnable_psi_eval(ad.constant(np.asarray(log_l)), grid, xs, grid_axis)
+
+
 class TestLearnablePsi:
     def test_unit_at_zero_distance(self):
+        grid = UniformGrid(lower=0.7, spacing=0.1, n_points=1)
         for log_l in (-2.0, 0.0, 1.5):
-            out = learnable_psi_eval(ad.constant(np.asarray(log_l)), np.zeros(4))
-            np.testing.assert_array_equal(out.value, np.ones(4))
+            out = psi_on(log_l, grid, np.full(4, 0.7))
+            np.testing.assert_array_equal(out.value, np.ones((4, 1)))
 
     def test_init_is_twice_grid_spacing(self):
         assert np.exp(init_log_length_scale(64.0)) == pytest.approx(2.0 / 64.0)
         assert np.exp(init_log_length_scale(64.0)) == pytest.approx(0.03125)
 
     def test_matches_closed_form(self):
-        log_l = np.log(0.2)
-        d = np.array([0.0, 0.1, 0.5])
-        out = learnable_psi_eval(ad.constant(np.asarray(log_l)), d)
+        # distances 0.0, 0.1, ..., 0.5 from the grid points to the input
+        grid = UniformGrid(lower=0.0, spacing=0.1, n_points=6)
+        out = psi_on(np.log(0.2), grid, [0.0], grid_axis=0)
+        d = grid.points[:, None]
         np.testing.assert_allclose(out.value, np.exp(-0.5 * (d / 0.2) ** 2), rtol=1e-14)
 
     def test_gradient_wrt_log_length_scale(self):
         store = ad.ParameterStore({"log_l": np.log(0.3)})
-        d = np.array([0.3, 0.15, 0.9])
+        # distances 0.15, 0.3, ..., 0.9
+        grid = UniformGrid(lower=0.15, spacing=0.15, n_points=6)
 
         def builder(leaves):
-            return ad.reduce_sum(learnable_psi_eval(leaves["log_l"], d))
+            return ad.reduce_sum(learnable_psi_eval(leaves["log_l"], grid, [0.0], 1))
 
         assert ad.grad_check(builder, store, step=1e-6) < 1e-6
 
     def test_overflowing_inverse_length_scale_names_the_op(self):
         # 1 / l^2 overflows to inf, and exp(-inf) = 0 would hide it
         log_l = ad.Node(-400.0, needs_grad=True)
+        grid = UniformGrid(lower=0.5, spacing=0.5, n_points=2)
         with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'psi'"):
-            learnable_psi_eval(log_l, [0.5, 1.0])
+            learnable_psi_eval(log_l, grid, [0.0], 1)
 
     def test_one_tape_node(self):
         log_l = ad.Node(np.log(0.2), needs_grad=True)
-        out = learnable_psi_eval(log_l, np.array([[0.1, 0.3]]))
+        grid = UniformGrid(lower=0.1, spacing=0.2, n_points=2)
+        out = learnable_psi_eval(log_l, grid, np.array([0.0]), 1)
         assert out._parents == (log_l,)
+
+
+class TestPsiBand:
+    """On a long grid only each input's window of grid points is evaluated."""
+
+    GAMMA = 32.0
+    GRID = UniformGrid(lower=-31.25, spacing=1.0 / GAMMA, n_points=2001)
+    LOG_L = init_log_length_scale(GAMMA)
+
+    def dense(self, xs):
+        """exp(-0.5 (d / l)^2) on every entry, in the kernel's order of operations."""
+        d = self.GRID.points[:, None] - xs[None, :]
+        return np.exp(d**2 * (np.exp(self.LOG_L * -2.0) * -0.5))
+
+    def inputs(self):
+        rng = np.random.default_rng(3)
+        inside = rng.uniform(self.GRID.points[0], self.GRID.points[-1], size=40)
+        ends = [self.GRID.points[0], self.GRID.points[-1]]
+        beyond = [ends[0] - 0.01, ends[0] - 3.0, ends[1] + 0.01, ends[1] + 3.0, 1e6, -1e6]
+        # grid point 900 lies sqrt(2 * 745.5) and sqrt(2 * 745.05) length scales
+        # from these two: exp gives 0.0 at the first and 5e-324 at the second
+        edge = self.GRID.points[900] + np.exp(self.LOG_L) * np.sqrt([1491.0, 1490.1])
+        return np.concatenate([inside, ends, beyond, edge])
+
+    def evaluated_sizes(self, monkeypatch, *args):
+        sizes = []
+        exp = np.exp
+
+        def spy(a, *rest, **kwargs):
+            sizes.append(np.size(a))
+            return exp(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        out = learnable_psi_eval(*args)
+        monkeypatch.undo()
+        return out, sizes
+
+    @pytest.mark.parametrize("grid_axis", [0, 1])
+    def test_equals_the_dense_evaluation_bit_for_bit(self, grid_axis, monkeypatch):
+        xs = self.inputs()
+        out, sizes = self.evaluated_sizes(
+            monkeypatch, ad.constant(np.asarray(self.LOG_L)), self.GRID, xs, grid_axis
+        )
+        expected = self.dense(xs)
+        assert max(sizes) < expected.size / 4  # the band, not the whole matrix
+        assert out.value.flags.c_contiguous
+        np.testing.assert_array_equal(out.value, expected if grid_axis == 0 else expected.T)
+        assert np.count_nonzero(expected) < expected.size / 4
+
+    def test_entries_at_the_underflow_edge(self):
+        xs = self.inputs()[-2:]
+        exponent = (self.GRID.points[:, None] - xs) ** 2 * (np.exp(self.LOG_L * -2.0) * -0.5)
+        edge = (exponent > -746.0) & (exponent < -745.0)
+        out = psi_on(self.LOG_L, self.GRID, xs, grid_axis=0).value
+        np.testing.assert_array_equal(out[edge], self.dense(xs)[edge])
+        assert np.all(out[edge] < np.finfo(float).tiny)  # subnormal or zero
+        assert 0 < np.count_nonzero(out[edge]) < np.count_nonzero(edge)
+
+    def test_gradient_sums_over_the_band(self):
+        xs = self.inputs()
+        weights = np.random.default_rng(4).standard_normal((len(xs), self.GRID.n_points))
+        log_l = ad.Node(np.asarray(self.LOG_L), needs_grad=True)
+        psi = learnable_psi_eval(log_l, self.GRID, xs, 1)
+        ad.backward(ad.reduce_sum(ad.mul(psi, ad.constant(weights))))
+        d2 = (self.GRID.points[None, :] - xs[:, None]) ** 2
+        expected = np.sum(weights * self.dense(xs).T * d2) * np.exp(self.LOG_L * -2.0)
+        assert float(log_l.grad) == pytest.approx(expected, rel=1e-13)
 
 
 class TestJitterEscalation:

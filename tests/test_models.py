@@ -374,6 +374,24 @@ class TestForwardMany:
             for a, b in zip(base, model.forward_many(shuffled)):
                 assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
+    @pytest.mark.parametrize(
+        "model", [ConvCNP(gamma=32.0, init_seed=7), CNPBaseline(init_seed=7)],
+        ids=["convcnp", "cnp"],
+    )
+    def test_tied_context_inputs_permute_bit_exactly(self, model):
+        # 12 context points on a 0.5 lattice over [-2, 2], so several share an x
+        rng = np.random.default_rng(9)
+        x = rng.integers(-4, 5, size=12) * 0.5
+        task = Task(x, rng.standard_normal((12, 1)), np.linspace(-2, 2, 6), np.zeros((6, 1)))
+        assert len(np.unique(x)) < 12
+        base = model.forward(task)
+        for _ in range(200):
+            perm = rng.permutation(12)
+            pred = model.forward(
+                Task(x[perm], task.context_y[perm], task.target_x, task.target_y)
+            )
+            assert np.array_equal(pred.mean, base.mean) and np.array_equal(pred.std, base.std)
+
 
 class TestOnGrid:
     def make(self, **kwargs):
