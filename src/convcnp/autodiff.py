@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 class DiffError(ValueError):
@@ -135,9 +134,9 @@ def relu(x: Node) -> Node:
 
 
 def softplus(x: Node) -> Node:
-    value = np.logaddexp(0.0, x.value)
-    sig = special.expit(x.value)
-    return Node(value, (x,), lambda g, i: g * sig, op="softplus")
+    with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709: sigmoid 0
+        sig = 1.0 / (1.0 + np.exp(-x.value))
+    return Node(np.logaddexp(0.0, x.value), (x,), lambda g, i: g * sig, op="softplus")
 
 
 def absolute(x: Node) -> Node:

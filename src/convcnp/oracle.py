@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .autodiff import gaussian_ll
 from .kernels import cholesky_with_jitter, gram
@@ -26,8 +25,10 @@ def gp_posterior_predict(kernel, context_x, context_y, xs):
         return np.zeros(len(xs)), np.sqrt(np.maximum(prior_var, VARIANCE_CLAMP))
     chol = cholesky_with_jitter(gram(kernel, context_x))
     k_sc = kernel(xs, context_x)
-    mean = k_sc @ cho_solve((chol, True), context_y)
-    v = solve_triangular(chol, k_sc.T, lower=True)
+    # With K = L L^T: mean = (L^-1 k_sc^T)^T L^-1 y and var = prior - |L^-1 k_sc^T|^2
+    solved = np.linalg.solve(chol, np.column_stack([context_y, k_sc.T]))
+    v = solved[:, 1:]
+    mean = v.T @ solved[:, 0]
     var = prior_var - np.sum(v**2, axis=0)
     return mean, np.sqrt(np.maximum(var, VARIANCE_CLAMP))
 

@@ -224,21 +224,23 @@ GP_KINDS = tuple(DATA_KERNELS)
 PROCESS_KINDS = GP_KINDS + ("sawtooth", "lotka-volterra")
 
 
-def fits(value, kind: type, bound="at least", low=-math.inf) -> bool:
+def fits(value, kind: type, bound="at least", limit=-math.inf) -> bool:
     """The value rule of every config setting: a bool ``kind`` takes true or false;
     an int takes an integer and a float a finite number, neither a bool, ``bound``
-    ("at least" or "above") ``low``."""
+    ("at least", "above" or "of magnitude at most") ``limit``."""
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
         return False
+    if bound == "of magnitude at most":
+        return abs(value) <= limit
     finite = abs(value) <= sys.float_info.max  # not NaN or infinite, and fits a float
-    return finite and (value > low if bound == "above" else value >= low)
+    return finite and (value > limit if bound == "above" else value >= limit)
 
 
 def check_settings(spec, section: str, rules) -> None:
     """Raise ValueError naming ``<section>.<name>`` at the first field of ``spec``
-    that breaks its ``(name, kind[, bound, low])`` rule; store reals as floats."""
+    that breaks its ``(name, kind[, bound, limit])`` rule; store reals as floats."""
     for name, kind, *bound in rules:
         value = getattr(spec, name)
         if not fits(value, kind, *bound):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,6 +13,37 @@ from reference_adam import reference_adam_step, reference_params
 
 def test_softplus_at_zero():
     assert ad.softplus(ad.constant(0.0)).value == pytest.approx(np.log(2.0))
+
+
+def _softplus_vjp(x):
+    """The softplus gradient at ``x``, with any floating-point warning an error."""
+    leaf = ad.Node(np.asarray(x, float), needs_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ad.backward(ad.reduce_sum(ad.softplus(leaf)))
+    return leaf.grad
+
+
+def test_softplus_vjp_matches_expit():
+    from scipy.special import expit
+
+    x = np.linspace(-800.0, 800.0, 400_001)
+    got, ref = _softplus_vjp(x), expit(x)
+    # Both lie in [0, 1], so the difference of their bit patterns counts ulps.
+    ulps = np.abs(got.view(np.int64) - ref.view(np.int64))
+    # Each is within 2 ulp of the exact sigmoid.  They take exp from different
+    # libraries, so they can sit on opposite sides of it: up to 4 ulp apart
+    # near x = -37, where exp(-x) passes 2**53 and 1 + exp(-x) rounds.
+    assert ulps.max() <= 4
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = np.array([float(1 / (1 + (-Decimal(v)).exp())) for v in x[ulps > 0]])
+    assert np.abs(got[ulps > 0].view(np.int64) - exact.view(np.int64)).max() <= 2
+
+
+def test_softplus_vjp_saturates_exactly():
+    tails = np.array([-1e300, -800.0, -710.0, 710.0, 800.0, 1e300])
+    np.testing.assert_array_equal(_softplus_vjp(tails), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 def test_conv1d_impulse_center():

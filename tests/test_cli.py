@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from convcnp.cli import (
     EVAL_COLUMNS,
+    MAX_SHIFT,
     ConfigError,
     ExperimentConfig,
     main,
@@ -190,6 +194,8 @@ class TestGenerateData:
         "fractional-n-tasks": ("eval", "n_tasks", 2.7),
         "bool-n-tasks": ("eval", "n_tasks", True),
         "infinite-shift": ("eval", "shift", float("inf")),
+        "shift-beyond-range": ("eval", "shift", 1e308),
+        "shift-just-beyond-range": ("eval", "shift", -100.5),
         "null-shift": ("eval", "shift", None),
         "scalar-section": ("eval", None, 3),
         "numeric-out-dir": (None, "out_dir", 5),
@@ -415,6 +421,30 @@ class TestOtherCommands:
         assert "--shift" in err and "finite" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["extrapolate", "equivariance-audit"])
+    @pytest.mark.parametrize("shift", ["1e308", "-100.5"])
+    def test_shift_beyond_range_is_rejected(self, tmp_path, capsys, command, shift):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(config), f"--shift={shift}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--shift" in err and f"at most {MAX_SHIFT:g}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_equivariance_audit_at_the_edge_of_the_shift_range(self, tmp_path):
+        # Lotka-Volterra outputs are the largest, so their deviation is too.
+        config = write_config(tmp_path, process={"kind": "lotka-volterra"})
+        out = tmp_path / "eq"
+        assert main([
+            "equivariance-audit", "--config", str(config), "--out", str(out),
+            f"--shift={MAX_SHIFT}",
+        ]) == 0
+        _, _, rows = read_csv(out / "equivariance.csv")
+        assert [float(r[1]) for r in rows] == [MAX_SHIFT] * 3
+        for row in rows:
+            assert float(row[2]) < 1e-10
+
     def test_bad_config_path(self, tmp_path, capsys):
         code = main([
             "dump", "--config", str(tmp_path / "missing.json"),
@@ -422,3 +452,15 @@ class TestOtherCommands:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = (
+        "import sys, convcnp, convcnp.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from reference_gillespie import lv_total_rate, reference_gillespie_lv
+from reference_gillespie import reference_gillespie_lv
 
 from convcnp.kernels import DATA_KERNELS, EQ, gram
 from convcnp.synthdata import (
@@ -89,8 +89,11 @@ class TestSawtooth:
 
 
 class TestGillespie:
-    def test_rate_arithmetic(self):
-        assert lv_total_rate((0.01, 0.5, 1.0, 0.01), 50, 100) == pytest.approx(225.0)
+    def test_first_holding_time_uses_the_total_rate(self):
+        # From (50, 100) the rates sum to 0.01*50*100 + 0.5*50 + 1.0*100 + 0.01*50*100
+        # = 225, and the first holding time takes the generator's first uniform.
+        tr = gillespie_lv(make_rng(0), x0=50, y0=100, max_events=1, max_time=np.inf)
+        assert tr.times[1] == -np.log(make_rng(0).random()) / 225.0
 
     def test_extinct_state_terminates_immediately(self):
         tr = gillespie_lv(x0=0, y0=0, rng=make_rng(0))
