@@ -11,7 +11,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -105,15 +104,7 @@ class LVTrajectory:
 
 LV_RATES = (0.01, 0.5, 1.0, 0.01)
 _FIRST_BLOCK, _MAX_BLOCK = 32, 4096  # uniforms per rng.random() call
-
-
-def _uniform_pairs(rng):
-    """Blocks of (-log u, v) for consecutive uniforms u, v; the blocks double in size."""
-    size = _FIRST_BLOCK
-    while True:
-        block = rng.random(size)
-        yield zip((-np.log(block[0::2])).tolist(), block[1::2].tolist())
-        size = min(2 * size, _MAX_BLOCK)
+_LV_STEPS = np.array([[1, -1, 0, 0], [0, 0, 1, -1]])  # (dX, dY) of each event code
 
 
 def gillespie_lv(
@@ -128,9 +119,15 @@ def gillespie_lv(
 
     Events: predator birth (rate theta1*X*Y, X+1), predator death
     (theta2*X, X-1), prey birth (theta3*Y, Y+1), prey death (theta4*X*Y,
-    Y-1).  Stops at max_time, max_events, or total rate zero.  Uniforms are
-    drawn in blocks, and ``rng`` is left where one scalar ``rng.random()``
-    per uniform used would have left it.
+    Y-1).  Stops at max_time, max_events, or total rate zero.
+
+    Event i takes the uniform pair (u, v) at 2i, 2i+1 of blocks that double
+    in size.  Per block, a Python loop runs only the jump chain: it picks
+    each event from v * total and records a one-byte code.  numpy then
+    rebuilds the states from the codes, recomputes their total rates and
+    takes the holding times -log(u) / total and their running sum, which
+    cuts the path at the first time past max_time.  ``rng`` is left where one
+    scalar ``rng.random()`` per uniform used would have left it.
     """
     theta = np.asarray(theta, float)
     if np.any(theta < 0) or np.all(theta == 0):
@@ -138,39 +135,58 @@ def gillespie_lv(
     if x0 < 0 or y0 < 0:
         raise ValueError("initial populations must be non-negative")
     state = rng.bit_generator.state
-    t, x, y = 0.0, int(x0), int(y0)
-    times, xs, ys = [t], [x], [y]
     t1, t2, t3, t4 = theta.tolist()
-    timed_out = 0
-    for neg_log_u, v in chain.from_iterable(_uniform_pairs(rng)):
-        xy = x * y
-        r1, r2, r3 = t1 * xy, t2 * x, t3 * y
-        total = r1 + r2 + r3 + t4 * xy
-        if len(times) > max_events or total <= 0.0:
-            break
-        t_next = t + neg_log_u / total
-        if t_next > max_time:
-            timed_out = 1
-            break
-        t = t_next
-        u = v * total
-        if u < r1:
-            x += 1
-        elif u < r1 + r2:
-            x -= 1
-        elif u < r1 + r2 + r3:
-            y += 1
-        else:
-            y -= 1
-        times.append(t)
-        xs.append(x)
-        ys.append(y)
+    t, x, y = 0.0, int(x0), int(y0)
+    times, paths = [np.zeros(1)], [np.array([[x], [y]])]
+    n, size, timed_out, extinct = 0, _FIRST_BLOCK, 0, False
+    while n < max_events and not (extinct or timed_out):
+        block = rng.random(size)
+        size = min(2 * size, _MAX_BLOCK)
+        codes, start = bytearray(1), (x, y)  # byte 0's column becomes the start state
+        push = codes.append
+        for v in block[1::2].tolist()[: max_events - n]:
+            xy = x * y
+            a = t1 * xy
+            b = a + t2 * x
+            c = b + t3 * y
+            total = c + t4 * xy
+            if total <= 0.0:
+                extinct = True
+                break
+            u = v * total
+            if u < a:
+                x += 1
+                push(0)
+            elif u < b:
+                x -= 1
+                push(1)
+            elif u < c:
+                y += 1
+                push(2)
+            else:
+                y -= 1
+                push(3)
+        k = len(codes) - 1
+        steps = _LV_STEPS[:, np.frombuffer(codes, np.uint8)]
+        steps[:, 0] = start
+        path = steps.cumsum(axis=1)
+        xs, ys = path[:, :-1].astype(float)  # an int64 x * y would wrap at 2**63
+        xy = xs * ys
+        total = t1 * xy + t2 * xs + t3 * ys + t4 * xy  # the loop's order of sums
+        # cumsum adds in sequence, as t += dt would; the log is taken over the
+        # whole half-block, so that every value takes the same SIMD path.
+        block_times = np.concatenate(([t], (-np.log(block[0::2]))[:k] / total)).cumsum()
+        late = block_times[1:] > max_time
+        if late.any():
+            k, timed_out = int(late.argmax()), 1
+        times.append(block_times[1 : k + 1])
+        paths.append(path[:, 1 : k + 1])
+        t, n = block_times[k], n + k
     # Two uniforms per event and one for an exit at max_time.
     rng.bit_generator.state = state
-    rng.random(2 * (len(times) - 1) + timed_out)
-    return LVTrajectory(
-        times=np.asarray(times), predators=np.asarray(xs), prey=np.asarray(ys)
-    )
+    rng.random(2 * n + timed_out)
+    predators, prey = np.concatenate(paths, axis=1)
+    return LVTrajectory(times=np.concatenate(times), predators=predators, prey=prey)
 
 
 LV_POPULATION_SCALE = 2.0 / 7.0
@@ -312,7 +328,7 @@ def sample_task(process: ProcessSpec, seed: int, stats: dict | None = None) -> T
                 stats["lv_accepted"] = stats.get("lv_accepted", 0) + 1
             task.seed = seed
             return task
-        raise RuntimeError("Lotka-Volterra sampler: 1000 consecutive rejections")
+        raise RuntimeError(f"Lotka-Volterra sampler: 1000 consecutive rejections, seed {seed}")
 
     rng = make_rng(seed)
     n_ctx = int(rng.integers(process.n_context[0], process.n_context[1] + 1))

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_gillespie import reference_gillespie_lv
 
+from convcnp import synthdata
 from convcnp.kernels import DATA_KERNELS, EQ, gram
 from convcnp.synthdata import (
     _MAX_BLOCK,
@@ -172,8 +175,17 @@ class TestGillespieMatchesReference:
             (dict(max_events=0), 0),
             (dict(max_events=1), 1),
             (dict(max_time=0.05), None),
+            # The first block holds 16 events and the second 32 more.
+            (dict(max_events=16), 16),
+            (dict(max_events=48), 48),
+            (dict(theta=(0.0, 0.5, 0.0, 0.0), x0=16, y0=0, max_time=np.inf), 16),
+            (dict(x0=2**32, y0=2**32, max_events=40), 40),
         ],
-        ids=["extinct-start", "extinct-mid-run", "no-events", "one-event", "time-cutoff"],
+        ids=[
+            "extinct-start", "extinct-mid-run", "no-events", "one-event", "time-cutoff",
+            "first-block-full", "second-block-full", "extinct-at-block-end",
+            "product-past-int64",
+        ],
     )
     def test_exits(self, kwargs, n_events):
         for k in range(5):
@@ -182,6 +194,28 @@ class TestGillespieMatchesReference:
                 assert tr.n_events == n_events
             else:
                 assert 0 < tr.n_events and tr.times[-1] <= 0.05
+
+    def test_time_cutoff_on_the_first_event_of_a_block(self):
+        for k in range(5):
+            times = gillespie_lv(make_rng(7, k), max_events=17, max_time=np.inf).times
+            cutoff = (times[16] + times[17]) / 2
+            assert _run_both(lambda: make_rng(7, k), max_time=cutoff).n_events == 16
+
+    @given(
+        theta=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4).filter(any),
+        x0=st.integers(0, 60),
+        y0=st.integers(0, 60),
+        max_events=st.integers(0, 300),
+        max_time=st.one_of(st.floats(0.0, 3.0, exclude_min=True), st.just(np.inf)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # tiny rates: infinite times
+    def test_any_path_matches(self, theta, x0, y0, max_events, max_time, seed):
+        _run_both(
+            lambda: make_rng(seed), theta=theta, x0=x0, y0=y0,
+            max_events=max_events, max_time=max_time,
+        )
 
     def test_path_longer_than_largest_block(self):
         tr = _run_both(lambda: make_rng(8), max_time=np.inf, max_events=3 * _MAX_BLOCK)
@@ -307,6 +341,13 @@ class TestSampleTask:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ProcessSpec("plasticc")
+
+    def test_lv_rejection_error_names_the_seed(self, monkeypatch):
+        # Every path starts extinct, so all 1000 attempts are rejected.
+        simulate = synthdata.gillespie_lv
+        monkeypatch.setattr(synthdata, "gillespie_lv", lambda rng: simulate(rng, x0=0, y0=0))
+        with pytest.raises(RuntimeError, match="1000 consecutive rejections, seed 1234$"):
+            sample_task(ProcessSpec("lotka-volterra"), 1234)
 
 
 class TestTaskSerialization:
