@@ -35,13 +35,14 @@ class Node:
     reaches cost no buffer.
     """
 
-    __slots__ = ("value", "needs_grad", "_grad", "_parents", "_vjp")
+    __slots__ = ("value", "op", "needs_grad", "_grad", "_parents", "_vjp")
 
     def __init__(self, value, parents=(), vjp=None, op="const", needs_grad=False):
         value = np.asarray(value, dtype=np.float64)
         if not np.isfinite(value).all():
             raise DiffError(f"op '{op}' produced non-finite values")
         self.value = value
+        self.op = op
         self._grad = None
         self.needs_grad = needs_grad or any(p.needs_grad for p in parents)
         self._parents = tuple(parents) if self.needs_grad else ()
@@ -148,23 +149,14 @@ def reduce_sum(x: Node) -> Node:
     return Node(x.value.sum(), (x,), lambda g, i: np.broadcast_to(g, shape).copy(), op="sum")
 
 
-def reduce_mean(x: Node) -> Node:
-    shape, count = x.value.shape, x.value.size
-    return Node(
-        x.value.mean(), (x,), lambda g, i: np.broadcast_to(g, shape) / count, op="mean"
-    )
-
-
 def concat(nodes, axis=0) -> Node:
     nodes = list(nodes)
+    value = np.concatenate([n.value for n in nodes], axis=axis)
     sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
-    return Node(
-        np.concatenate([n.value for n in nodes], axis=axis),
-        nodes,
-        lambda g, i: np.split(g, splits, axis=axis)[i],
-        op="concat",
-    )
+    # each parent's block of the gradient, as a view
+    lead = (slice(None),) * (axis % value.ndim)
+    blocks = [lead + (slice(end - n, end),) for n, end in zip(sizes, np.cumsum(sizes))]
+    return Node(value, nodes, lambda g, i: g[blocks[i]], op="concat")
 
 
 def narrow(x: Node, axis: int, start: int, length: int) -> Node:
@@ -202,6 +194,12 @@ def gaussian_ll(y, mu, sigma) -> np.ndarray:
     return -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * z**2
 
 
+def gaussian_ll_grad(g, y, mu, sigma, i) -> np.ndarray:
+    """``g`` times the derivative of :func:`gaussian_ll` in mu (i = 0) or sigma (i = 1)."""
+    z = (y - mu) / sigma
+    return g * z / sigma if i == 0 else g * (z**2 - 1.0) / sigma
+
+
 def gaussian_log_pdf(y, mu: Node, sigma: Node) -> Node:
     """Elementwise log N(y; mu, sigma^2) with observations ``y`` held fixed."""
     y = np.asarray(y, dtype=np.float64)
@@ -210,13 +208,10 @@ def gaussian_log_pdf(y, mu: Node, sigma: Node) -> Node:
             f"op 'gaussian_log_pdf': shapes y={y.shape}, mu={mu.value.shape}, "
             f"sigma={sigma.value.shape} must match"
         )
-    value = gaussian_ll(y, mu.value, sigma.value)
-
-    def vjp(g, i):
-        z = (y - mu.value) / sigma.value
-        return g * z / sigma.value if i == 0 else g * (z**2 - 1.0) / sigma.value
-
-    return Node(value, (mu, sigma), vjp, op="gaussian_log_pdf")
+    return Node(
+        gaussian_ll(y, mu.value, sigma.value), (mu, sigma),
+        lambda g, i: gaussian_ll_grad(g, y, mu.value, sigma.value, i), op="gaussian_log_pdf",
+    )
 
 
 def _pad(x, pad, mode, op):
@@ -225,8 +220,11 @@ def _pad(x, pad, mode, op):
         raise DiffError(f"op '{op}': unknown padding mode '{mode}'")
     if pad == 0:
         return x
-    widths = ((0, 0),) + ((pad, pad),) * (x.ndim - 1)
-    return np.pad(x, widths, mode="constant" if mode == "zeros" else "wrap")
+    if mode == "circular":
+        return np.pad(x, ((0, 0),) + ((pad, pad),) * (x.ndim - 1), mode="wrap")
+    out = np.zeros(x.shape[:1] + tuple(n + 2 * pad for n in x.shape[1:]), x.dtype)
+    out[(slice(None),) + (slice(pad, -pad),) * (x.ndim - 1)] = x
+    return out
 
 
 def _windows(xp, k, groups):
@@ -234,15 +232,15 @@ def _windows(xp, k, groups):
     already padded by (k - 1) / 2: rows (channel, tap) in a group, columns S.
     """
     nd = xp.ndim - 1
-    axes = tuple(range(1, nd + 1))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k,) * nd, axis=axes)
-    # window-first order: (channel, *taps, *positions)
-    order = (0,) + tuple(range(nd + 1, 2 * nd + 1)) + axes
-    return windows.transpose(order).reshape(groups, xp.shape[0] // groups * k**nd, -1)
+    # window-first view (channel, *taps, *positions): taps stride like positions
+    shape = xp.shape[:1] + (k,) * nd + tuple(n - k + 1 for n in xp.shape[1:])
+    strides = xp.strides[:1] + xp.strides[1:] * 2
+    windows = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
+    return windows.reshape(groups, xp.shape[0] // groups * k**nd, -1)
 
 
-def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
-    """Grouped cross-correlation of any spatial rank as im2col plus matmul.
+def _conv(x: Node, w: Node, bias, padding, groups, nd, relu, mask) -> Node:
+    """Grouped cross-correlation over ``nd`` spatial axes as im2col plus matmul.
 
     ``x`` is (C_in, *S) and ``w`` is (C_out, C_in / groups, k, ..., k) with
     odd k; stride 1 and (k - 1) / 2 padding keep the spatial shape S.  The
@@ -252,7 +250,13 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
     correlation of the output gradient, with the kernel flipped on every
     spatial axis and its in and out channels swapped within each group: the
     adjoint of a same-size correlation, zero-padded or circular alike.
+    ``relu`` and ``mask`` gate the output in the same node, and the vjp
+    multiplies the output gradient by that gate once.
     """
+    op = f"conv{nd}d"
+    if x.value.ndim != nd + 1 or w.value.ndim != nd + 2 or len(set(w.value.shape[2:])) > 1:
+        raise DiffError(f"op '{op}': expected an input with {nd} spatial axes and a square "
+                        f"kernel, got {x.value.shape} and {w.value.shape}")
     c_in, *spatial = x.value.shape
     c_out, c_in_g, k = w.value.shape[:3]
     if k % 2 == 0:
@@ -263,7 +267,6 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
             f"weight {w.value.shape} (need C_in = groups * w.shape[1] and "
             "groups dividing C_out)"
         )
-    nd = len(spatial)
     c_out_g = c_out // groups
     pad = (k - 1) // 2
     xp = _pad(x.value, pad, padding, op)
@@ -275,8 +278,19 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
             raise DiffError(f"op '{op}': bias shape {bias.value.shape} != ({c_out},)")
         out = out + bias.value.reshape((c_out,) + (1,) * nd)
         parents.append(bias)
+    gate, gated = None, [None, None]
+    if relu or mask is not None:
+        gate = np.logical_and(out > 0 if relu else True, True if mask is None else mask)
+        # + 0.0 turns a gated -0.0 into 0.0, and a non-finite value stays
+        # non-finite (inf * 0 is nan) for the node's own check
+        out *= gate
+        out += 0.0
 
     def vjp(g, i):
+        if gate is not None:  # gated once: backward passes every parent the same g
+            if gated[0] is not g:
+                gated[:] = g, g * gate
+            g = gated[1]
         if i == 2:
             return g.sum(axis=tuple(range(1, nd + 1)))
         if i == 1:
@@ -291,37 +305,28 @@ def _conv(x: Node, w: Node, bias, padding, groups, op) -> Node:
     return Node(out, parents, vjp, op=op)
 
 
-def conv1d(
-    x: Node, w: Node, bias: Node | None = None, padding: str = "zeros", groups: int = 1
-) -> Node:
+def conv1d(x: Node, w: Node, bias: Node | None = None, padding: str = "zeros",
+           groups: int = 1, relu: bool = False, mask=None) -> Node:
     """Cross-correlation, stride 1, symmetric zero or circular padding of (k-1)/2.
 
     ``x`` is (C_in, T) and ``w`` is (C_out, C_in / groups, k) with odd k;
     ``bias`` is (C_out,).  Output channel o sees only the input channels of
-    its group, o // (C_out / groups).  Output shape is (C_out, T).
+    its group, o // (C_out / groups).  Output shape is (C_out, T).  With
+    ``relu`` a ReLU follows, and a 0/1 array ``mask`` that broadcasts against
+    the output multiplies it, in the same node.
     """
-    if x.value.ndim != 2 or w.value.ndim != 3:
-        raise DiffError(
-            f"op 'conv1d': expected (C_in, T) and (C_out, C_in / groups, k), got "
-            f"{x.value.shape} and {w.value.shape}"
-        )
-    return _conv(x, w, bias, padding, groups, "conv1d")
+    return _conv(x, w, bias, padding, groups, 1, relu, mask)
 
 
-def conv2d(
-    x: Node, w: Node, bias: Node | None = None, padding: str = "zeros", groups: int = 1
-) -> Node:
+def conv2d(x: Node, w: Node, bias: Node | None = None, padding: str = "zeros",
+           groups: int = 1, relu: bool = False, mask=None) -> Node:
     """Cross-correlation over (C_in, H, W) with square odd kernels, stride 1.
 
-    ``w`` is (C_out, C_in / groups, k, k) and ``bias`` is (C_out,); groups
-    work as in :func:`conv1d`.  Output shape is (C_out, H, W).
+    ``w`` is (C_out, C_in / groups, k, k) and ``bias`` is (C_out,); groups,
+    ``relu`` and ``mask`` work as in :func:`conv1d`.  Output shape is
+    (C_out, H, W).
     """
-    if x.value.ndim != 3 or w.value.ndim != 4 or w.value.shape[2] != w.value.shape[3]:
-        raise DiffError(
-            f"op 'conv2d': expected (C_in, H, W) and (C_out, C_in / groups, k, k), "
-            f"got {x.value.shape} and {w.value.shape}"
-        )
-    return _conv(x, w, bias, padding, groups, "conv2d")
+    return _conv(x, w, bias, padding, groups, 2, relu, mask)
 
 
 def backward(loss: Node) -> None:

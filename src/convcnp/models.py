@@ -94,9 +94,9 @@ def cnn_forward(
 ) -> ad.Node:
     """Run the conv stack; ``x`` is channels-first (C, T) or (C, H, W).
 
-    ``mask``, a 0/1 constant that broadcasts against every hidden layer,
-    multiplies each ReLU output, so masked positions stay zero from layer to
-    layer as they would be in the zero padding of a separate signal.
+    Each hidden layer is one conv node: conv, bias, ReLU, then ``mask``, a 0/1
+    array that broadcasts against every hidden layer, so masked positions stay
+    zero from layer to layer as they would in the zero padding of a separate signal.
     """
     conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
     acts = {}
@@ -105,17 +105,11 @@ def cnn_forward(
     for i in range(1, n + 1):
         if i in spec.skips:
             h = ad.concat([acts[j] for j in spec.skips[i]], axis=0)
-        bias = leaves[f"{prefix}.l{i}.bias"]
         if spec.separable:
             h = conv(h, leaves[f"{prefix}.l{i}.dw"], padding=padding, groups=h.value.shape[0])
-            h = conv(h, leaves[f"{prefix}.l{i}.pw"], bias, padding=padding)
-        else:
-            h = conv(h, leaves[f"{prefix}.l{i}.weight"], bias, padding=padding)
-        if i < n:
-            h = ad.relu(h)
-            if mask is not None:
-                h = ad.mul(h, mask)
-        acts[i] = h
+        w = leaves[f"{prefix}.l{i}.pw" if spec.separable else f"{prefix}.l{i}.weight"]
+        gate = {"relu": True, "mask": mask} if i < n else {}
+        h = acts[i] = conv(h, w, leaves[f"{prefix}.l{i}.bias"], padding=padding, **gate)
     return h
 
 
@@ -148,13 +142,29 @@ def _target_rows(pred: PredictiveDistribution, target_y) -> np.ndarray:
     return target_y.T
 
 
+def batch_nll(preds, targets) -> ad.Node:
+    """Mean over tasks of each task's negative mean target log density.
+
+    One node whose parents are every prediction's ``mu`` and ``sigma``.  The
+    value sums the per-task terms in task order, then scales by 1 / B.
+    """
+    ys = [_target_rows(pred, y) for pred, y in zip(preds, targets, strict=True)]
+    if not ys or min(y.size for y in ys) == 0:
+        raise ad.DiffError("batch_nll: empty batch or target set")
+    terms = [-ad.gaussian_ll(y, p.mu.value, p.sigma.value).mean() for p, y in zip(preds, ys)]
+    scale = 1.0 / len(ys)
+
+    def vjp(g, i):  # ((g / B) * -1 / M) times d log N / d mu (or d sigma), elementwise
+        p, y = preds[i // 2], ys[i // 2]
+        return ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, p.mu.value, p.sigma.value, i % 2)
+
+    parents = [node for pred in preds for node in (pred.mu, pred.sigma)]
+    return ad.Node(sum(terms[1:], terms[0]) * scale, parents, vjp, op="batch_nll")
+
+
 def nll_loss(pred: PredictiveDistribution, target_y) -> ad.Node:
     """Negative mean Gaussian log density of the targets under ``pred``."""
-    target_y = _target_rows(pred, target_y)
-    if target_y.size == 0:
-        raise ad.DiffError("nll_loss: empty target set")
-    lp = ad.gaussian_log_pdf(target_y, pred.mu, pred.sigma)
-    return ad.mul(ad.reduce_mean(lp), ad.constant(np.asarray(-1.0)))
+    return batch_nll([pred], [target_y])
 
 
 def log_likelihood_per_point(pred: PredictiveDistribution, target_y) -> float:
@@ -232,10 +242,9 @@ class ConvCNP:
         if len(tasks) > 1:
             zeros = ad.constant(np.zeros((self.in_channels, gap)))
             signal = ad.concat([p for piece in pieces for p in (zeros, piece)][1:], axis=1)
-            on = np.zeros((1, starts[-1] + sizes[-1]))
+            mask = np.zeros((1, starts[-1] + sizes[-1]))
             for start, n in zip(starts, sizes):
-                on[:, start : start + n] = 1.0
-            mask = ad.constant(on)
+                mask[:, start : start + n] = 1.0
         # the division is elementwise, and a gap's 0 / eps stays 0
         signal = divide_by_density(signal)
         h = cnn_forward(self.cnn, signal, leaves, "cnn", mask=mask)

@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .models import log_likelihood_per_point, nll_loss
+from .models import batch_nll, log_likelihood_per_point, nll_loss
 from .oracle import standard_error
 from .synthdata import ProcessSpec, check_settings, sample_task
 
@@ -120,10 +120,8 @@ def train(model, config: TrainConfig, process: ProcessSpec):
     the model is left holding the best-validation parameters.
     """
     store = model.params
-    val_tasks = [
-        sample_task(process, derive_seed(config.seed, 2, i))
-        for i in range(config.n_val_tasks)
-    ]
+    val_seeds = [derive_seed(config.seed, 2, i) for i in range(config.n_val_tasks)]
+    val_tasks = [sample_task(process, seed) for seed in val_seeds]
 
     log = TrainLog()
     best_state = store.state_dict()
@@ -134,41 +132,26 @@ def train(model, config: TrainConfig, process: ProcessSpec):
         t0 = time.perf_counter()
         epoch_nll = 0.0
         for _ in range(config.batches_per_epoch):
-            tasks = [
-                sample_task(process, derive_seed(config.seed, 1, counter + i))
-                for i in range(config.batch_size)
-            ]
+            seeds = [derive_seed(config.seed, 1, counter + i) for i in range(config.batch_size)]
+            tasks = [sample_task(process, seed) for seed in seeds]
             counter += config.batch_size
             leaves = store.leaves()
             try:
                 preds = model.forward_many(tasks, leaves=leaves)
-                losses = [nll_loss(p, t.target_y) for p, t in zip(preds, tasks)]
+                batch_loss = batch_nll(preds, [t.target_y for t in tasks])
             except ad.DiffError as err:
                 _raise_naming_task(model, tasks, epoch, err)
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = ad.add(batch_loss, extra)
-            batch_loss = ad.mul(
-                batch_loss, ad.constant(np.asarray(1.0 / len(losses)))
-            )
             ad.backward(batch_loss)
             store.accumulate(leaves)
             ad.adam_step(store, config.lr, config.weight_decay)
             epoch_nll += float(batch_loss.value)
 
         val = evaluate(model, val_tasks)
-        param_norm = float(
-            np.sqrt(sum(np.sum(p.value**2) for _, p in store.items()))
-        )
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                train_nll=epoch_nll / config.batches_per_epoch,
-                val_ll=val.mean_ll,
-                seconds=time.perf_counter() - t0,
-                param_norm=param_norm,
-            )
-        )
+        param_norm = float(np.sqrt(sum(np.sum(p.value**2) for _, p in store.items())))
+        log.records.append(EpochRecord(
+            epoch=epoch, train_nll=epoch_nll / config.batches_per_epoch, val_ll=val.mean_ll,
+            seconds=time.perf_counter() - t0, param_norm=param_norm,
+        ))
         if val.mean_ll > best_val:
             best_val = val.mean_ll
             best_state = store.state_dict()

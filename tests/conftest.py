@@ -4,13 +4,15 @@ import pytest
 from convcnp import autodiff as ad
 from convcnp.embedding import UniformGrid
 from convcnp.kernels import learnable_psi_eval
+from convcnp.models import PredictiveDistribution, batch_nll
 
 
 PRIMITIVE_OPS = [
     "add", "mul", "div", "matmul", "conv1d", "conv2d", "relu",
-    "softplus", "psi", "abs", "sum", "mean", "concat",
+    "softplus", "psi", "abs", "sum", "concat",
     "broadcast", "gaussian_log_pdf", "conv1d-circular", "conv2d-circular",
-    "conv1d-depthwise", "conv2d-depthwise",
+    "conv1d-depthwise", "conv2d-depthwise", "conv1d-relu-mask",
+    "conv2d-separable-relu", "batch_nll",
 ]
 
 # name -> (conv, x shape, w shape, padding, groups)
@@ -68,14 +70,36 @@ def primitive_case(op: str, seed: int):
         builder = lambda lv: ad.reduce_sum(
             ad.matmul(lv["f"], learnable_psi_eval(lv["log_l"], grid, xs, 0))
         )
-    elif op in ("sum", "mean"):
+    elif op == "conv1d-relu-mask":
+        # a hidden layer of the batched ConvCNP: conv, bias, ReLU and column
+        # mask in one node
+        store = ad.ParameterStore(
+            {"x": smooth((2, 9)), "w": smooth((3, 2, 5)), "b": smooth(3)}
+        )
+        mask = (rng.uniform(size=(1, 9)) < 0.7).astype(float)
+
+        def builder(lv):
+            c = ad.conv1d(lv["x"], lv["w"], lv["b"], relu=True, mask=mask)
+            return ad.reduce_sum(ad.mul(c, c))
+    elif op == "conv2d-separable-relu":
+        # a hidden layer of the on-grid ConvCNP: a circular depthwise conv,
+        # then a 1x1 conv with bias and ReLU in one node
+        store = ad.ParameterStore({
+            "x": smooth((2, 5, 6)), "dw": smooth((2, 1, 5, 5)),
+            "pw": smooth((3, 2, 1, 1)), "b": smooth(3),
+        })
+
+        def builder(lv):
+            h = ad.conv2d(lv["x"], lv["dw"], padding="circular", groups=2)
+            c = ad.conv2d(h, lv["pw"], lv["b"], padding="circular", relu=True)
+            return ad.reduce_sum(ad.mul(c, c))
+    elif op == "sum":
         # squared, so the reduction's vjp receives a gradient other than 1
         store = ad.ParameterStore({"x": smooth((3, 4))})
         weights = smooth((3, 4))
-        reduce = ad.reduce_sum if op == "sum" else ad.reduce_mean
 
         def builder(lv):
-            r = reduce(ad.mul(lv["x"], ad.constant(weights)))
+            r = ad.reduce_sum(ad.mul(lv["x"], ad.constant(weights)))
             return ad.mul(r, r)
     elif op == "concat":
         store = ad.ParameterStore({"a": smooth((2, 4)), "b": smooth((3, 4))})
@@ -95,6 +119,21 @@ def primitive_case(op: str, seed: int):
         builder = lambda lv: ad.reduce_sum(
             ad.gaussian_log_pdf(y, lv["mu"], ad.softplus(lv["logsig"]))
         )
+    elif op == "batch_nll":
+        # three tasks with different target counts, the second with two outputs
+        shapes = [(1, 3), (2, 4), (1, 2)]
+        ys = [smooth(shape).T for shape in shapes]
+        store = ad.ParameterStore({
+            f"{name}{k}": smooth(shape) for k, shape in enumerate(shapes)
+            for name in ("mu", "logsig")
+        })
+
+        def builder(lv):
+            preds = [
+                PredictiveDistribution(lv[f"mu{k}"], ad.softplus(lv[f"logsig{k}"]))
+                for k in range(len(ys))
+            ]
+            return batch_nll(preds, ys)
     else:
         raise ValueError(op)
     return builder, store

@@ -12,13 +12,6 @@ import numpy as np
 from convcnp.synthdata import LV_RATES, LVTrajectory
 
 
-def lv_total_rate(theta, x: int, y: int) -> float:
-    """Total event rate t1*X*Y + t2*X + t3*Y + t4*X*Y, summed as in ``gillespie_lv``."""
-    t1, t2, t3, t4 = theta
-    xy = x * y
-    return t1 * xy + t2 * x + t3 * y + t4 * xy
-
-
 def reference_gillespie_lv(
     rng,
     theta=LV_RATES,

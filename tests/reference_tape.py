@@ -1,0 +1,92 @@
+"""Reference tape compositions: the conv stack and the batch loss op by op.
+
+These are the direct forms of four rewrites in ``convcnp``, which must match
+them bit for bit:
+
+- padding with ``np.pad`` in both modes, and the window matrix from
+  ``sliding_window_view`` plus a transpose (``autodiff._pad``, ``_windows``);
+- ``concat``'s vjp as ``np.split`` of the whole gradient (``autodiff.concat``);
+- each hidden conv layer as conv, then ``relu``, then ``mul`` by the column
+  mask, three nodes (``models.cnn_forward``);
+- the batch loss as one Gaussian log density, mean and negation per task,
+  summed by ``add`` and scaled by ``mul`` (``models.batch_nll``).
+"""
+
+import numpy as np
+
+from convcnp import autodiff as ad
+from convcnp.models import _target_rows
+
+
+def pad(x, width, mode, op="conv"):
+    if width == 0:
+        return x
+    widths = ((0, 0),) + ((width, width),) * (x.ndim - 1)
+    return np.pad(x, widths, mode="constant" if mode == "zeros" else "wrap")
+
+
+def windows(xp, k, groups):
+    nd = xp.ndim - 1
+    axes = tuple(range(1, nd + 1))
+    view = np.lib.stride_tricks.sliding_window_view(xp, (k,) * nd, axis=axes)
+    order = (0,) + tuple(range(nd + 1, 2 * nd + 1)) + axes  # (channel, *taps, *positions)
+    return view.transpose(order).reshape(groups, xp.shape[0] // groups * k**nd, -1)
+
+
+def concat(nodes, axis=0):
+    nodes = list(nodes)
+    splits = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
+    return ad.Node(
+        np.concatenate([n.value for n in nodes], axis=axis),
+        nodes,
+        lambda g, i: np.split(g, splits, axis=axis)[i],
+        op="concat",
+    )
+
+
+def conv_layer(x, w, bias, padding="zeros", groups=1, mask=None):
+    """A hidden layer: conv with bias, ReLU, then the mask as a constant."""
+    conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
+    h = ad.relu(conv(x, w, bias, padding=padding, groups=groups))
+    return h if mask is None else ad.mul(h, ad.constant(mask))
+
+
+def cnn_forward(spec, x, leaves, prefix, padding="zeros", mask=None):
+    conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
+    acts = {}
+    h = x
+    for i in range(1, spec.n_layers + 1):
+        if i in spec.skips:
+            h = concat([acts[j] for j in spec.skips[i]], axis=0)
+        bias = leaves[f"{prefix}.l{i}.bias"]
+        if spec.separable:
+            h = conv(h, leaves[f"{prefix}.l{i}.dw"], padding=padding, groups=h.value.shape[0])
+            w = leaves[f"{prefix}.l{i}.pw"]
+        else:
+            w = leaves[f"{prefix}.l{i}.weight"]
+        if i < spec.n_layers:
+            h = conv_layer(h, w, bias, padding, mask=mask)
+        else:
+            h = conv(h, w, bias, padding=padding)
+        acts[i] = h
+    return h
+
+
+def reduce_mean(x):
+    shape, count = x.value.shape, x.value.size
+    return ad.Node(
+        x.value.mean(), (x,), lambda g, i: np.broadcast_to(g, shape) / count, op="mean"
+    )
+
+
+def nll_loss(pred, target_y):
+    lp = ad.gaussian_log_pdf(_target_rows(pred, target_y), pred.mu, pred.sigma)
+    return ad.mul(reduce_mean(lp), ad.constant(np.asarray(-1.0)))
+
+
+def batch_nll(preds, targets):
+    losses = [nll_loss(p, y) for p, y in zip(preds, targets)]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = ad.add(total, extra)
+    return ad.mul(total, ad.constant(np.asarray(1.0 / len(losses))))

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import PRIMITIVE_OPS, primitive_grad_error
-from reference_gillespie import lv_total_rate
 from convcnp import autodiff as ad
 from convcnp.cli import main as cli_main
 from convcnp.embedding import embed, make_grid
@@ -268,6 +267,11 @@ class TestCriterion8Gillespie:
     def test_first_event_time_uses_total_rate(self):
         # The simulator's first holding time is -log(u) / R(x0, y0) to the
         # bit, with R summed as the reference loop sums it.
+        def lv_total_rate(theta, x, y):
+            t1, t2, t3, t4 = theta
+            xy = x * y
+            return t1 * xy + t2 * x + t3 * y + t4 * xy
+
         for k, (x0, y0) in enumerate([(50, 100), (1, 0), (0, 7), (7, 17), (9, 9), (250, 13)]):
             tr = gillespie_lv(x0=x0, y0=y0, max_events=1, max_time=np.inf, rng=make_rng(k))
             u = make_rng(k).random()

@@ -1,0 +1,208 @@
+"""The cheap conv stack and the one-node batch loss against their direct forms.
+
+Each rewrite must perform the same floating-point operations in the same
+order as the composition it replaces (``reference_tape.py``), so values and
+gradients are compared for exact equality, signed zeros included.
+"""
+
+import numpy as np
+import pytest
+
+import reference_tape as ref
+from convcnp import autodiff as ad
+from convcnp import models, training
+from convcnp.models import CnnSpec, ConvCNP, PredictiveDistribution, batch_nll, nll_loss
+from convcnp.synthdata import ProcessSpec
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _inputs(rng, rank, contiguous):
+    """A (3, *S) input; the non-contiguous one is a strided view of a larger array."""
+    shape = (3,) + (6, 7)[:rank]
+    if contiguous:
+        return rng.normal(size=shape)
+    big = rng.normal(size=(shape[0],) + tuple(2 * n for n in shape[1:]))
+    return big[(slice(None),) + (slice(None, None, 2),) * rank]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("width", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["zeros", "circular"])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_pad_matches_np_pad(rank, width, mode, contiguous):
+    x = _inputs(np.random.default_rng(rank + 3 * width), rank, contiguous)
+    assert x.flags.c_contiguous == contiguous
+    assert_bits_equal(ad._pad(x, width, mode, "conv"), ref.pad(x, width, mode))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("width", [0, 1, 2])
+@pytest.mark.parametrize("groups", [1, 3])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_windows_match_sliding_window_view(rank, width, groups, contiguous):
+    xp = _inputs(np.random.default_rng(rank + 3 * width), rank, contiguous)
+    k = 2 * width + 1
+    assert_bits_equal(ad._windows(xp, k, groups), ref.windows(xp, k, groups))
+
+
+def _layer_grads(layer, arrays, g):
+    """Value of ``layer`` on fresh leaves and the gradient of <layer, g> for each."""
+    leaves = [ad.Node(a, needs_grad=True) for a in arrays]
+    out = layer(*leaves)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    return out.value, [leaf.grad for leaf in leaves]
+
+
+# name -> (x shape, w shape, padding, column mask)
+_LAYERS = {
+    "1-D with a column mask": ((4, 23), (6, 4, 5), "zeros", True),
+    "1-D, no mask": ((4, 23), (6, 4, 5), "zeros", False),
+    "2-D circular 1x1": ((4, 7, 9), (6, 4, 1, 1), "circular", False),
+    "2-D circular 5x5": ((4, 7, 9), (6, 4, 5, 5), "circular", False),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAYERS))
+def test_fused_layer_matches_conv_relu_mask(case):
+    x_shape, w_shape, padding, masked = _LAYERS[case]
+    rng = np.random.default_rng(len(case))
+    arrays = [rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])]
+    mask = None
+    if masked:  # a gap of zero columns, as between two tasks of a batch
+        mask = np.ones((1, x_shape[1]))
+        mask[:, 10:12] = 0.0
+    conv = ad.conv1d if len(x_shape) == 2 else ad.conv2d
+    g = rng.normal(size=(w_shape[0],) + x_shape[1:])
+    got = _layer_grads(
+        lambda x, w, b: conv(x, w, b, padding=padding, relu=True, mask=mask), arrays, g
+    )
+    want = _layer_grads(
+        lambda x, w, b: ref.conv_layer(x, w, b, padding, mask=mask), arrays, g
+    )
+    assert (got[0] == 0).any() and (got[0] > 0).any()
+    assert_bits_equal(got[0], want[0])
+    for a, b in zip(got[1], want[1], strict=True):
+        assert_bits_equal(a, b)
+
+
+def test_concat_vjp_matches_np_split():
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=(3, n)) for n in (4, 1, 6)]
+    g = rng.normal(size=(3, 11))
+    got = _layer_grads(lambda *xs: ad.concat(xs, axis=1), arrays, g)
+    want = _layer_grads(lambda *xs: ref.concat(xs, axis=1), arrays, g)
+    for a, b in zip(got[1], want[1], strict=True):
+        assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("n_tasks", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim_y", [1, 2])
+@pytest.mark.parametrize("weight", [1.0, 0.3])  # the gradient the loss receives
+def test_batch_nll_matches_per_task_losses(n_tasks, dim_y, weight):
+    rng = np.random.default_rng(10 * n_tasks + dim_y)
+    sizes = rng.integers(1, 9, size=n_tasks)
+    arrays = []
+    for m in sizes:
+        arrays += [rng.normal(size=(dim_y, m)), rng.uniform(0.05, 2.0, size=(dim_y, m))]
+    ys = [rng.normal(size=(m, dim_y)) for m in sizes]
+
+    def preds(*nodes):
+        return [PredictiveDistribution(mu, sigma) for mu, sigma in zip(nodes[::2], nodes[1::2])]
+
+    results = []
+    for loss in (batch_nll, ref.batch_nll):
+        leaves = [ad.Node(a, needs_grad=True) for a in arrays]
+        value = loss(preds(*leaves), ys)
+        ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
+        results.append((value.value, [leaf.grad for leaf in leaves]))
+    (value, grads), (want_value, want_grads) = results
+    assert_bits_equal(value, want_value)
+    for a, b in zip(grads, want_grads, strict=True):
+        assert_bits_equal(a, b)
+    if n_tasks == 1:
+        assert_bits_equal(nll_loss(*preds(*map(ad.constant, arrays)), ys[0]).value, value)
+
+
+def test_cnn_forward_with_skips_matches_the_op_by_op_stack():
+    spec = CnnSpec(channels=(3, 4, 4, 2), skips={3: (1, 2), 4: (1, 3)})
+    model = ConvCNP(gamma=8.0, cnn=spec, init_seed=2)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(2, 30))
+    mask = np.ones((1, 30))
+    mask[:, 14:16] = 0.0
+    results = []
+    for forward in (models.cnn_forward, ref.cnn_forward):
+        leaves = model.params.leaves()
+        signal = ad.Node(x, needs_grad=True)
+        out = forward(spec, signal, leaves, "cnn", mask=mask)
+        ad.backward(ad.reduce_sum(ad.mul(out, out)))
+        results.append([out.value, signal.grad] + [leaf.grad for leaf in leaves.values()])
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
+
+
+def _train_two_blocks(model, process):
+    for block in range(2):
+        config = training.TrainConfig(
+            epochs=1, batches_per_epoch=3, batch_size=3, n_val_tasks=2, seed=block
+        )
+        training.train(model, config, process)
+    return model.params
+
+
+@pytest.mark.parametrize("kind", ["eq", "lotka-volterra"])
+def test_train_matches_the_op_by_op_composition(kind, monkeypatch):
+    dim_y = 2 if kind == "lotka-volterra" else 1
+    process = ProcessSpec.default_for(kind)
+
+    def model():
+        return ConvCNP(dim_y=dim_y, gamma=16.0, cnn=CnnSpec.small(dim_y), init_seed=4)
+
+    store = _train_two_blocks(model(), process)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_pad", ref.pad)
+        patch.setattr(ad, "_windows", ref.windows)
+        patch.setattr(ad, "concat", ref.concat)
+        patch.setattr(models, "cnn_forward", ref.cnn_forward)
+        patch.setattr(training, "batch_nll", ref.batch_nll)
+        want = _train_two_blocks(model(), process)
+    assert store.step == want.step == 6
+    for field in ("value", "m", "v"):
+        assert_bits_equal(getattr(store, field), getattr(want, field))
+
+
+class TestNonFiniteNamesTheOp:
+    # (channel 0, channel 1) at one input position: a pre-activation of +inf,
+    # -inf, or nan from inf - inf; ReLU would turn the last two into 0
+    @pytest.mark.parametrize("bad", [(1e300, 0.0), (-1e300, 0.0), (1e300, -1e300)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_fused_layer(self, bad, rank):
+        x = np.zeros((2,) + (5,) * rank)
+        x[(slice(None),) + (2,) * rank] = bad
+        w = ad.Node(np.full((3, 2) + (3,) * rank, 1e10), needs_grad=True)
+        conv = ad.conv1d if rank == 1 else ad.conv2d
+        mask = np.ones((1,) * (rank + 1))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ad.DiffError, match=f"op 'conv{rank}d' produced non-finite"
+        ):
+            conv(ad.constant(x), w, relu=True, mask=mask)
+
+    def test_batch_loss(self):
+        mu = ad.Node(np.zeros((1, 3)), needs_grad=True)
+        good = PredictiveDistribution(mu, ad.constant(np.ones((1, 3))))
+        tiny = PredictiveDistribution(mu, ad.constant(np.full((1, 3), 1e-200)))
+        with np.errstate(over="ignore"), pytest.raises(
+            ad.DiffError, match="op 'batch_nll' produced non-finite"
+        ):
+            batch_nll([good, tiny], [np.ones(3), np.ones(3)])
+
+    def test_nodes_keep_their_op(self):
+        x = ad.Node(np.ones((2, 5)), needs_grad=True)
+        assert ad.add(x, x).op == "add"
+        assert ad.conv1d(x, ad.constant(np.ones((1, 2, 3))), relu=True).op == "conv1d"
