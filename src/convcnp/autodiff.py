@@ -144,11 +144,6 @@ def absolute(x: Node) -> Node:
     return Node(np.abs(x.value), (x,), lambda g, i: g * np.sign(x.value), op="abs")
 
 
-def reduce_sum(x: Node) -> Node:
-    shape = x.value.shape
-    return Node(x.value.sum(), (x,), lambda g, i: np.broadcast_to(g, shape).copy(), op="sum")
-
-
 def concat(nodes, axis=0) -> Node:
     nodes = list(nodes)
     value = np.concatenate([n.value for n in nodes], axis=axis)
@@ -198,20 +193,6 @@ def gaussian_ll_grad(g, y, mu, sigma, i) -> np.ndarray:
     """``g`` times the derivative of :func:`gaussian_ll` in mu (i = 0) or sigma (i = 1)."""
     z = (y - mu) / sigma
     return g * z / sigma if i == 0 else g * (z**2 - 1.0) / sigma
-
-
-def gaussian_log_pdf(y, mu: Node, sigma: Node) -> Node:
-    """Elementwise log N(y; mu, sigma^2) with observations ``y`` held fixed."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != mu.value.shape or mu.value.shape != sigma.value.shape:
-        raise DiffError(
-            f"op 'gaussian_log_pdf': shapes y={y.shape}, mu={mu.value.shape}, "
-            f"sigma={sigma.value.shape} must match"
-        )
-    return Node(
-        gaussian_ll(y, mu.value, sigma.value), (mu, sigma),
-        lambda g, i: gaussian_ll_grad(g, y, mu.value, sigma.value, i), op="gaussian_log_pdf",
-    )
 
 
 def _pad(x, pad, mode, op):

@@ -33,10 +33,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+def _check_keys(section: dict, allowed: set, where: str = ""):
+    """Name every key outside ``allowed``, as ``<where>.<key>`` inside a section."""
+    unknown = [f"{where}.{key}" if where else key for key in sorted(set(section) - allowed)]
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
 def _section(raw: dict, name: str, base):
@@ -54,7 +55,6 @@ class ModelSpec:
 
     variant: str = "convcnp-small"
     gamma: float = 32.0
-    sigma_floor: bool = True
     init_seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +63,7 @@ class ModelSpec:
                 f"model.variant must be one of {MODEL_VARIANTS}, got {self.variant!r}"
             )
         check_settings(self, "model", (
-            ("gamma", float, "above", 0), ("sigma_floor", bool),
-            ("init_seed", int, "at least", 0),
+            ("gamma", float, "above", 0), ("init_seed", int, "at least", 0),
         ))
 
 
@@ -104,7 +103,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"a config must be a JSON object, got {raw!r}")
-        _check_keys(raw, _TOP_KEYS, "config")
+        _check_keys(raw, _TOP_KEYS)
         proc = raw.get("process")
         kind = proc.get("kind", "eq") if isinstance(proc, dict) else "eq"
         train = _section(raw, "train", TrainConfig())
@@ -129,10 +128,7 @@ class ExperimentConfig:
         if spec.variant == "cnp":
             return CNPBaseline(dim_y=dim_y, init_seed=spec.init_seed)
         cnn = CnnSpec.xl if spec.variant == "convcnp-xl" else CnnSpec.small
-        return ConvCNP(
-            dim_y=dim_y, gamma=spec.gamma, cnn=cnn(dim_y),
-            sigma_floor=spec.sigma_floor, init_seed=spec.init_seed,
-        )
+        return ConvCNP(dim_y=dim_y, gamma=spec.gamma, cnn=cnn(dim_y), init_seed=spec.init_seed)
 
 
 def _provenance(config: ExperimentConfig, seed: int) -> list[str]:

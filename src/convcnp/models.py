@@ -186,7 +186,7 @@ class ConvCNP:
     kernel-smoothed set embedding with density channel -> normalized
     division -> 1-D CNN -> EQ-basis readout of per-target mean and
     standard deviation (softplus keeps the deviation channel positive
-    before the readout sum).
+    before the readout sum, and the deviation is floored after it).
     """
 
     def __init__(
@@ -194,7 +194,6 @@ class ConvCNP:
         dim_y: int = 1,
         gamma: float = 32.0,
         cnn: CnnSpec | None = None,
-        sigma_floor: bool = True,
         init_seed: int = 0,
     ):
         self.dim_y = dim_y
@@ -203,7 +202,6 @@ class ConvCNP:
         # The CNN's receptive-field half-width in input units, so boundary
         # effects stay outside the data range.
         self.margin = self.cnn.receptive_field_steps() / self.gamma
-        self.sigma_floor = sigma_floor
         self.in_channels = 1 + dim_y
 
         params = {
@@ -257,9 +255,7 @@ class ConvCNP:
                 leaves["readout.log_length_scale"], grid, task.target_x, grid_axis=0
             )
             mu = ad.matmul(ad.narrow(f_mu, 1, start, grid.n_points), basis)
-            sigma = ad.matmul(ad.narrow(f_sigma, 1, start, grid.n_points), basis)
-            if self.sigma_floor:
-                sigma = _floor_sigma(sigma)
+            sigma = _floor_sigma(ad.matmul(ad.narrow(f_sigma, 1, start, grid.n_points), basis))
             preds.append(PredictiveDistribution(mu=mu, sigma=sigma))
         return preds
 
@@ -364,10 +360,13 @@ class GridPredictive:
         return self.sigma.value.copy()
 
 
-def _check_mask(mask, name):
+def _check_mask(mask, name, shape):
+    """``mask`` as floats, if it is 0/1 and has the data's spatial ``shape``."""
     mask = np.asarray(mask, float)
     if not np.all((mask == 0) | (mask == 1)):
         raise ValueError(f"{name} must be binary")
+    if mask.shape != shape:
+        raise ValueError(f"{name} {mask.shape} must match the spatial shape {shape} of the data")
     return mask
 
 
@@ -410,9 +409,7 @@ class ConvCNPOnGrid:
                 f"expected channels-first data with {self.channels} channels and "
                 f"{self.ndim} spatial dims, got shape {image.shape}"
             )
-        context_mask = _check_mask(context_mask, "context_mask")
-        if context_mask.shape != image.shape[1:]:
-            raise ValueError("context mask must match the spatial shape of the data")
+        context_mask = _check_mask(context_mask, "context_mask", image.shape[1:])
         conv = ad.conv1d if self.ndim == 1 else ad.conv2d
         # one depthwise conv smooths the mask and every masked channel with
         # the same kernel
@@ -430,9 +427,7 @@ class ConvCNPOnGrid:
         if leaves is None:
             leaves = self.params.constants()
         image = np.asarray(image, float)
-        target_mask = _check_mask(target_mask, "target_mask")
-        if target_mask.shape != image.shape[1:]:
-            raise ValueError("target mask must match the spatial shape of the data")
+        target_mask = _check_mask(target_mask, "target_mask", image.shape[1:])
         conv = ad.conv1d if self.ndim == 1 else ad.conv2d
         h = self.encode(image, context_mask, leaves)
         h = ad.relu(cnn_forward(self.cnn, h, leaves, "cnn", padding="circular"))
@@ -443,13 +438,26 @@ class ConvCNPOnGrid:
 
 
 def grid_nll_loss(pred: GridPredictive, image) -> ad.Node:
-    """Negative mean log density over target-mask positions."""
+    """Negative mean log density over target-mask positions, as one node.
+
+    The value sums the masked log densities, then scales by -1 / count; the
+    vjp scales the incoming gradient by -1 / count, then masks it.
+    """
     image = np.asarray(image, float)
-    mask = pred.target_mask[None]
-    count = mask.sum() * image.shape[0]
+    mu, sigma = pred.mu.value, pred.sigma.value
+    if not image.shape == mu.shape == sigma.shape:
+        raise ad.DiffError(
+            f"grid_nll_loss: image {image.shape} does not fit predictions {mu.shape}"
+        )
+    mask = np.broadcast_to(pred.target_mask[None], image.shape).copy()
+    count = pred.target_mask.sum() * image.shape[0]
     if count == 0:
         raise ad.DiffError("grid_nll_loss: empty target mask")
-    lp = ad.gaussian_log_pdf(image, pred.mu, pred.sigma)
-    masked = ad.mul(lp, ad.constant(np.broadcast_to(mask, image.shape).copy()))
-    total = ad.reduce_sum(masked)
-    return ad.mul(total, ad.constant(np.asarray(-1.0 / count)))
+    scale = -1.0 / count
+
+    def vjp(g, i):
+        masked = np.broadcast_to(g * scale, image.shape).copy() * mask
+        return ad.gaussian_ll_grad(masked, image, mu, sigma, i)
+
+    value = (ad.gaussian_ll(image, mu, sigma) * mask).sum() * scale
+    return ad.Node(value, (pred.mu, pred.sigma), vjp, op="grid_nll_loss")

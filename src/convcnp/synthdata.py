@@ -241,12 +241,11 @@ PROCESS_KINDS = GP_KINDS + ("sawtooth", "lotka-volterra")
 
 
 def fits(value, kind: type, bound="at least", limit=-math.inf) -> bool:
-    """The value rule of every config setting: a bool ``kind`` takes true or false;
-    an int takes an integer and a float a finite number, neither a bool, ``bound``
-    ("at least", "above" or "of magnitude at most") ``limit``."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+    """The value rule of every config setting: an int ``kind`` takes an integer and
+    a float a finite number, neither a bool, ``bound`` ("at least", "above" or
+    "of magnitude at most") ``limit``."""
+    number = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number):
         return False
     if bound == "of magnitude at most":
         return abs(value) <= limit
@@ -260,7 +259,7 @@ def check_settings(spec, section: str, rules) -> None:
     for name, kind, *bound in rules:
         value = getattr(spec, name)
         if not fits(value, kind, *bound):
-            rule = {bool: "true or false", int: "an integer", float: "a finite number"}[kind]
+            rule = "an integer" if kind is int else "a finite number"
             limit = ", {} {}".format(*bound) if bound else ""
             raise ValueError(f"{section}.{name} must be {rule}{limit}, got {value!r}")
         if kind is float:

@@ -4,15 +4,16 @@ import pytest
 from convcnp import autodiff as ad
 from convcnp.embedding import UniformGrid
 from convcnp.kernels import learnable_psi_eval
-from convcnp.models import PredictiveDistribution, batch_nll
+from convcnp.models import GridPredictive, PredictiveDistribution, batch_nll, grid_nll_loss
+from reference_tape import reduce_sum
 
 
 PRIMITIVE_OPS = [
     "add", "mul", "div", "matmul", "conv1d", "conv2d", "relu",
-    "softplus", "psi", "abs", "sum", "concat",
-    "broadcast", "gaussian_log_pdf", "conv1d-circular", "conv2d-circular",
+    "softplus", "psi", "abs", "concat",
+    "broadcast", "conv1d-circular", "conv2d-circular",
     "conv1d-depthwise", "conv2d-depthwise", "conv1d-relu-mask",
-    "conv2d-separable-relu", "batch_nll",
+    "conv2d-separable-relu", "batch_nll", "grid_nll",
 ]
 
 # name -> (conv, x shape, w shape, padding, groups)
@@ -41,10 +42,10 @@ def primitive_case(op: str, seed: int):
         a, b = smooth((3, 4)), smooth((3, 4))
         store = ad.ParameterStore({"a": a, "b": b})
         fn = getattr(ad, op)
-        builder = lambda lv: ad.reduce_sum(ad.mul(fn(lv["a"], lv["b"]), fn(lv["a"], lv["b"])))
+        builder = lambda lv: reduce_sum(ad.mul(fn(lv["a"], lv["b"]), fn(lv["a"], lv["b"])))
     elif op == "matmul":
         store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((4, 2))})
-        builder = lambda lv: ad.reduce_sum(ad.matmul(lv["a"], lv["b"]))
+        builder = lambda lv: reduce_sum(ad.matmul(lv["a"], lv["b"]))
     elif op in _CONV_CASES:
         conv, x_shape, w_shape, padding, groups = _CONV_CASES[op]
         store = ad.ParameterStore(
@@ -52,12 +53,12 @@ def primitive_case(op: str, seed: int):
         )
         def builder(lv):
             c = conv(lv["x"], lv["w"], lv["b"], padding=padding, groups=groups)
-            return ad.reduce_sum(ad.mul(c, c))
+            return reduce_sum(ad.mul(c, c))
     elif op in ("relu", "softplus", "abs"):
         store = ad.ParameterStore({"x": smooth((3, 4))})
         fn = {"relu": ad.relu, "softplus": ad.softplus, "abs": ad.absolute}[op]
         weights = smooth((3, 4))
-        builder = lambda lv: ad.reduce_sum(ad.mul(fn(lv["x"]), ad.constant(weights)))
+        builder = lambda lv: reduce_sum(ad.mul(fn(lv["x"]), ad.constant(weights)))
     elif op == "psi":
         # the readout's shape: grid features times the (T, M) basis, on a grid
         # over twice as long as each input's window (l < 0.019: at most 145 points).
@@ -67,7 +68,7 @@ def primitive_case(op: str, seed: int):
         log_l = np.log(0.01) + 0.4 * smooth(())
         store = ad.ParameterStore({"f": 1e-3 * smooth((2, grid.n_points)), "log_l": log_l})
         xs = rng.uniform(-1.7, 1.7, size=4)
-        builder = lambda lv: ad.reduce_sum(
+        builder = lambda lv: reduce_sum(
             ad.matmul(lv["f"], learnable_psi_eval(lv["log_l"], grid, xs, 0))
         )
     elif op == "conv1d-relu-mask":
@@ -80,7 +81,7 @@ def primitive_case(op: str, seed: int):
 
         def builder(lv):
             c = ad.conv1d(lv["x"], lv["w"], lv["b"], relu=True, mask=mask)
-            return ad.reduce_sum(ad.mul(c, c))
+            return reduce_sum(ad.mul(c, c))
     elif op == "conv2d-separable-relu":
         # a hidden layer of the on-grid ConvCNP: a circular depthwise conv,
         # then a 1x1 conv with bias and ReLU in one node
@@ -92,32 +93,18 @@ def primitive_case(op: str, seed: int):
         def builder(lv):
             h = ad.conv2d(lv["x"], lv["dw"], padding="circular", groups=2)
             c = ad.conv2d(h, lv["pw"], lv["b"], padding="circular", relu=True)
-            return ad.reduce_sum(ad.mul(c, c))
-    elif op == "sum":
-        # squared, so the reduction's vjp receives a gradient other than 1
-        store = ad.ParameterStore({"x": smooth((3, 4))})
-        weights = smooth((3, 4))
-
-        def builder(lv):
-            r = ad.reduce_sum(ad.mul(lv["x"], ad.constant(weights)))
-            return ad.mul(r, r)
+            return reduce_sum(ad.mul(c, c))
     elif op == "concat":
         store = ad.ParameterStore({"a": smooth((2, 4)), "b": smooth((3, 4))})
         weights = smooth((5, 4))
-        builder = lambda lv: ad.reduce_sum(
+        builder = lambda lv: reduce_sum(
             ad.mul(ad.concat([lv["a"], lv["b"]], axis=0), ad.constant(weights))
         )
     elif op == "broadcast":
         store = ad.ParameterStore({"s": smooth(())})
         weights = smooth((3, 4))
-        builder = lambda lv: ad.reduce_sum(
+        builder = lambda lv: reduce_sum(
             ad.mul(ad.broadcast_to(lv["s"], (3, 4)), ad.constant(weights))
-        )
-    elif op == "gaussian_log_pdf":
-        y = smooth((3, 4))
-        store = ad.ParameterStore({"mu": smooth((3, 4)), "logsig": smooth((3, 4))})
-        builder = lambda lv: ad.reduce_sum(
-            ad.gaussian_log_pdf(y, lv["mu"], ad.softplus(lv["logsig"]))
         )
     elif op == "batch_nll":
         # three tasks with different target counts, the second with two outputs
@@ -134,6 +121,18 @@ def primitive_case(op: str, seed: int):
                 for k in range(len(ys))
             ]
             return batch_nll(preds, ys)
+    elif op == "grid_nll":
+        # a 2-D image of two channels under a mixed target mask; squared, so the
+        # loss's vjp receives a gradient other than 1
+        image = smooth((2, 3, 4))
+        mask = np.zeros((3, 4))
+        mask.flat[rng.permutation(12)[:7]] = 1.0
+        store = ad.ParameterStore({"mu": smooth((2, 3, 4)), "logsig": smooth((2, 3, 4))})
+
+        def builder(lv):
+            pred = GridPredictive(lv["mu"], ad.softplus(lv["logsig"]), mask)
+            loss = grid_nll_loss(pred, image)
+            return ad.mul(loss, loss)
     else:
         raise ValueError(op)
     return builder, store

@@ -1,6 +1,6 @@
-"""Reference tape compositions: the conv stack and the batch loss op by op.
+"""Reference tape compositions: the conv stack and the losses op by op.
 
-These are the direct forms of four rewrites in ``convcnp``, which must match
+These are the direct forms of five rewrites in ``convcnp``, which must match
 them bit for bit:
 
 - padding with ``np.pad`` in both modes, and the window matrix from
@@ -9,7 +9,12 @@ them bit for bit:
 - each hidden conv layer as conv, then ``relu``, then ``mul`` by the column
   mask, three nodes (``models.cnn_forward``);
 - the batch loss as one Gaussian log density, mean and negation per task,
-  summed by ``add`` and scaled by ``mul`` (``models.batch_nll``).
+  summed by ``add`` and scaled by ``mul`` (``models.batch_nll``);
+- the on-grid loss as a Gaussian log density, ``mul`` by the target mask,
+  ``reduce_sum`` and ``mul`` by -1 / count (``models.grid_nll_loss``).
+
+``reduce_sum`` and ``gaussian_log_pdf`` are the primitives those forms were
+built from; the tests also use ``reduce_sum`` to make scalar losses.
 """
 
 import numpy as np
@@ -72,6 +77,25 @@ def cnn_forward(spec, x, leaves, prefix, padding="zeros", mask=None):
     return h
 
 
+def reduce_sum(x):
+    shape = x.value.shape
+    return ad.Node(x.value.sum(), (x,), lambda g, i: np.broadcast_to(g, shape).copy(), op="sum")
+
+
+def gaussian_log_pdf(y, mu, sigma):
+    """Elementwise log N(y; mu, sigma^2) with observations ``y`` held fixed."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != mu.value.shape or mu.value.shape != sigma.value.shape:
+        raise ad.DiffError(
+            f"op 'gaussian_log_pdf': shapes y={y.shape}, mu={mu.value.shape}, "
+            f"sigma={sigma.value.shape} must match"
+        )
+    return ad.Node(
+        ad.gaussian_ll(y, mu.value, sigma.value), (mu, sigma),
+        lambda g, i: ad.gaussian_ll_grad(g, y, mu.value, sigma.value, i), op="gaussian_log_pdf",
+    )
+
+
 def reduce_mean(x):
     shape, count = x.value.shape, x.value.size
     return ad.Node(
@@ -80,13 +104,30 @@ def reduce_mean(x):
 
 
 def nll_loss(pred, target_y):
-    lp = ad.gaussian_log_pdf(_target_rows(pred, target_y), pred.mu, pred.sigma)
+    lp = gaussian_log_pdf(_target_rows(pred, target_y), pred.mu, pred.sigma)
     return ad.mul(reduce_mean(lp), ad.constant(np.asarray(-1.0)))
 
 
-def batch_nll(preds, targets):
-    losses = [nll_loss(p, y) for p, y in zip(preds, targets)]
+def mean_loss(losses):
+    """The per-example losses summed by ``add``, then scaled by ``mul``: the
+    batch loss as ``perfbench/workloads.py`` ``mean_loss`` composes it."""
     total = losses[0]
     for extra in losses[1:]:
         total = ad.add(total, extra)
     return ad.mul(total, ad.constant(np.asarray(1.0 / len(losses))))
+
+
+def batch_nll(preds, targets):
+    return mean_loss([nll_loss(p, y) for p, y in zip(preds, targets)])
+
+
+def grid_nll_loss(pred, image):
+    image = np.asarray(image, float)
+    mask = pred.target_mask[None]
+    count = mask.sum() * image.shape[0]
+    if count == 0:
+        raise ad.DiffError("grid_nll_loss: empty target mask")
+    lp = gaussian_log_pdf(image, pred.mu, pred.sigma)
+    masked = ad.mul(lp, ad.constant(np.broadcast_to(mask, image.shape).copy()))
+    total = reduce_sum(masked)
+    return ad.mul(total, ad.constant(np.asarray(-1.0 / count)))

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import PRIMITIVE_OPS, primitive_grad_error
 from convcnp import autodiff as ad
+from convcnp import models
 from convcnp.cli import main as cli_main
 from convcnp.embedding import embed, make_grid
 from convcnp.kernels import DATA_KERNELS, EQ, gram
@@ -338,12 +339,13 @@ class TestCriterion9Injectivity:
 
 
 class TestCriterion10SigmaPositivity:
-    def test_sigma_floor_and_positivity(self, trained_convcnp, eval_tasks):
+    def test_sigma_floor_and_positivity(self, trained_convcnp, eval_tasks, monkeypatch):
         model, _, _ = trained_convcnp
         floored_min = min(
             model.forward(t).std.min() for t in eval_tasks[:100]
         )
-        unfloored = ConvCNP(gamma=32.0, sigma_floor=False, init_seed=0)
+        monkeypatch.setattr(models, "_floor_sigma", lambda s: s)
+        unfloored = ConvCNP(gamma=32.0, init_seed=0)
         rng = np.random.default_rng(5)
         unfloored_min = np.inf
         for i in range(20):

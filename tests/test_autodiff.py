@@ -9,6 +9,7 @@ import pytest
 from convcnp import autodiff as ad
 from conftest import PRIMITIVE_OPS, primitive_case, primitive_grad_error
 from reference_adam import reference_adam_step, reference_params
+from reference_tape import reduce_sum
 
 
 def test_softplus_at_zero():
@@ -20,7 +21,7 @@ def _softplus_vjp(x):
     leaf = ad.Node(np.asarray(x, float), needs_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ad.backward(ad.reduce_sum(ad.softplus(leaf)))
+        ad.backward(reduce_sum(ad.softplus(leaf)))
     return leaf.grad
 
 
@@ -56,24 +57,23 @@ def test_conv1d_impulse_center():
 
 
 def test_gaussian_log_pdf_at_mean():
-    lp = ad.gaussian_log_pdf(np.array(1.5), ad.constant(1.5), ad.constant(1.0))
-    assert lp.value == pytest.approx(-0.9189385332046727)
+    assert ad.gaussian_ll(1.5, 1.5, 1.0) == pytest.approx(-0.9189385332046727)
 
 
 def test_gaussian_log_pdf_rejects_nonpositive_sigma():
     with pytest.raises(ad.DiffError, match="sigma"):
-        ad.gaussian_log_pdf(np.array(0.0), ad.constant(0.0), ad.constant(0.0))
+        ad.gaussian_ll(np.array(0.0), np.array(0.0), np.array(0.0))
 
 
 def test_backward_sum_gives_ones():
     x = ad.Node(np.random.default_rng(0).normal(size=(3, 5)), needs_grad=True)
-    ad.backward(ad.reduce_sum(x))
+    ad.backward(reduce_sum(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 5)))
 
 
 def test_backward_quadratic():
     x = ad.Node(np.array([1.0, 2.0]), needs_grad=True)
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(reduce_sum(ad.mul(x, x)))
     np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
 
@@ -85,10 +85,10 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_without_reset():
     x = ad.Node(np.array([3.0]), needs_grad=True)
-    loss = ad.reduce_sum(ad.mul(x, x))
+    loss = reduce_sum(ad.mul(x, x))
     ad.backward(loss)
     first = x.grad.copy()
-    loss2 = ad.reduce_sum(ad.mul(x, x))
+    loss2 = reduce_sum(ad.mul(x, x))
     # fresh graph over the same leaf: gradients add
     assert loss2._parents[0]._parents == (x, x)
     ad.backward(loss2)
@@ -101,7 +101,7 @@ def test_random_three_op_graph_matches_finite_differences():
 
     def builder(leaves):
         prod = ad.matmul(leaves["a"], leaves["b"])
-        return ad.reduce_sum(ad.softplus(ad.mul(prod, prod)))
+        return reduce_sum(ad.softplus(ad.mul(prod, prod)))
 
     assert ad.grad_check(builder, store, step=1e-5) < 1e-5
 
@@ -166,7 +166,7 @@ def test_reverse_pass_deterministic():
         x = ad.Node(rng.normal(size=(2, 9)), needs_grad=True)
         w = ad.Node(rng.normal(size=(4, 2, 3)), needs_grad=True)
         out = ad.conv1d(x, w)
-        ad.backward(ad.reduce_sum(ad.mul(out, out)))
+        ad.backward(reduce_sum(ad.mul(out, out)))
         return x.grad.copy(), w.grad.copy()
 
     gx1, gw1 = run()
@@ -246,12 +246,12 @@ class TestGradCheck:
     def test_linear_graph(self):
         store = ad.ParameterStore({"w": np.array([0.3])})
         x = np.array([2.0])
-        builder = lambda lv: ad.reduce_sum(ad.mul(lv["w"], ad.constant(x)))
+        builder = lambda lv: reduce_sum(ad.mul(lv["w"], ad.constant(x)))
         assert ad.grad_check(builder, store) < 1e-8
 
     def test_softplus_chain_at_zero(self):
         store = ad.ParameterStore({"w": np.array([0.0])})
-        builder = lambda lv: ad.reduce_sum(ad.softplus(ad.softplus(lv["w"])))
+        builder = lambda lv: reduce_sum(ad.softplus(ad.softplus(lv["w"])))
         assert ad.grad_check(builder, store, step=1e-5) < 1e-6
 
 
@@ -319,15 +319,15 @@ class TestCheckpoint:
 def test_unreached_node_grad_reads_zeros():
     x = ad.Node(np.ones((2, 3)), needs_grad=True)
     unused = ad.Node(np.full(4, 2.0), needs_grad=True)
-    ad.backward(ad.reduce_sum(x))
+    ad.backward(reduce_sum(x))
     np.testing.assert_array_equal(unused.grad, np.zeros(4))
 
 
 def test_two_backward_calls_accumulate_without_touching_the_first():
     x = ad.Node(np.array([1.0, -2.0]), needs_grad=True)
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(reduce_sum(ad.mul(x, x)))
     first = x.grad  # kept as the first pass stored it, not copied
-    ad.backward(ad.reduce_sum(ad.mul(x, ad.constant(np.array([3.0, 5.0])))))
+    ad.backward(reduce_sum(ad.mul(x, ad.constant(np.array([3.0, 5.0])))))
     np.testing.assert_array_equal(first, [2.0, -4.0])
     np.testing.assert_array_equal(x.grad, [5.0, 1.0])
 
@@ -342,7 +342,7 @@ def test_constant_nodes_keep_no_parents():
 
 
 def test_backward_refuses_a_loss_without_gradient():
-    loss = ad.reduce_sum(ad.mul(ad.constant(np.ones(3)), ad.constant(np.ones(3))))
+    loss = reduce_sum(ad.mul(ad.constant(np.ones(3)), ad.constant(np.ones(3))))
     with pytest.raises(ad.DiffError, match="takes no gradient.*parameter leaves"):
         ad.backward(loss)
 

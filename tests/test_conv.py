@@ -10,6 +10,7 @@ import pytest
 
 from convcnp import autodiff as ad
 from reference_conv import reference_conv
+from reference_tape import reduce_sum
 
 SPATIAL = {1: (11,), 2: (7, 9)}  # non-square 2-D input
 # (C_in, groups, C_out); "grouped" has C_in / groups > 1 and C_out / groups > 1
@@ -21,7 +22,7 @@ def _tape_conv(x, w, bias, padding, groups, g):
     leaves = [ad.Node(a, needs_grad=True) for a in (x, w, bias) if a is not None]
     conv = ad.conv1d if x.ndim == 2 else ad.conv2d
     out = conv(*leaves, padding=padding, groups=groups)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    ad.backward(reduce_sum(ad.mul(out, ad.constant(g))))
     return out.value, tuple(leaf.grad for leaf in leaves)
 
 

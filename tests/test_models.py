@@ -54,7 +54,7 @@ class TestConvCNPForward:
             assert np.all(model.forward(task).std > 0)
 
     def test_sigma_floor(self):
-        model = small_model(sigma_floor=True)
+        model = small_model()
         for seed in range(5):
             pred = model.forward(tiny_task(seed, n_ctx=4, n_tgt=6))
             assert np.all(pred.std >= 0.01)
@@ -452,6 +452,14 @@ class TestOnGrid:
         bad = np.full((4, 4), 0.5)
         with pytest.raises(ValueError, match="binary"):
             model.forward(image, bad, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("name", ["context_mask", "target_mask"])
+    def test_mask_of_wrong_shape_rejected(self, name):
+        model = self.make()
+        masks = {"context_mask": np.ones((4, 4)), "target_mask": np.ones((4, 4))}
+        masks[name] = np.ones((4, 5))
+        with pytest.raises(ValueError, match=f"{name} \\(4, 5\\) must match"):
+            model.forward(np.zeros((1, 4, 4)), **masks)
 
     def test_grid_nll_and_gradient(self):
         # the model as it runs: 5-tap smoothing, depthwise plus pointwise

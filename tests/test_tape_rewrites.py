@@ -1,4 +1,4 @@
-"""The cheap conv stack and the one-node batch loss against their direct forms.
+"""The cheap conv stack and the one-node losses against their direct forms.
 
 Each rewrite must perform the same floating-point operations in the same
 order as the composition it replaces (``reference_tape.py``), so values and
@@ -11,7 +11,16 @@ import pytest
 import reference_tape as ref
 from convcnp import autodiff as ad
 from convcnp import models, training
-from convcnp.models import CnnSpec, ConvCNP, PredictiveDistribution, batch_nll, nll_loss
+from convcnp.models import (
+    CnnSpec,
+    ConvCNP,
+    ConvCNPOnGrid,
+    GridPredictive,
+    PredictiveDistribution,
+    batch_nll,
+    grid_nll_loss,
+    nll_loss,
+)
 from convcnp.synthdata import ProcessSpec
 
 
@@ -55,7 +64,7 @@ def _layer_grads(layer, arrays, g):
     """Value of ``layer`` on fresh leaves and the gradient of <layer, g> for each."""
     leaves = [ad.Node(a, needs_grad=True) for a in arrays]
     out = layer(*leaves)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    ad.backward(ref.reduce_sum(ad.mul(out, ad.constant(g))))
     return out.value, [leaf.grad for leaf in leaves]
 
 
@@ -129,6 +138,81 @@ def test_batch_nll_matches_per_task_losses(n_tasks, dim_y, weight):
         assert_bits_equal(nll_loss(*preds(*map(ad.constant, arrays)), ys[0]).value, value)
 
 
+def _grid_examples(rng, n, channels, shape):
+    """``n`` (image, context mask, target mask) triples with mixed target masks."""
+    out = []
+    for _ in range(n):
+        context = (rng.random(shape) < 0.4).astype(float)
+        context.flat[:2] = (1.0, 0.0)  # neither mask empty
+        out.append((rng.normal(size=(channels,) + shape), context, 1.0 - context))
+    return out
+
+
+def _grid_model(channels, ndim):
+    return ConvCNPOnGrid(channels=channels, ndim=ndim, cnn=CnnSpec(channels=(3,)), init_seed=3)
+
+
+def _grid_batch_loss(model, batch, leaves, loss):
+    """One image's loss, or a batch's as ``perfbench``'s ``OnGrid`` composes it."""
+    losses = [loss(model.forward(img, ctx, tgt, leaves=leaves), img) for img, ctx, tgt in batch]
+    return losses[0] if len(losses) == 1 else ref.mean_loss(losses)
+
+
+@pytest.mark.parametrize("ndim, shape", [(1, (11,)), (2, (5, 6))])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("weight", [1.0, 0.3])  # the gradient the loss receives
+@pytest.mark.parametrize("n_images", [1, 4])
+def test_grid_nll_matches_the_four_node_chain(ndim, shape, channels, weight, n_images):
+    model = _grid_model(channels, ndim)
+    batch = _grid_examples(np.random.default_rng(ndim + 7 * channels), n_images, channels, shape)
+    results = []
+    for loss in (models.grid_nll_loss, ref.grid_nll_loss):
+        leaves = model.params.leaves()
+        value = _grid_batch_loss(model, batch, leaves, loss)
+        ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
+        results.append([value.value] + [leaf.grad for leaf in leaves.values()])
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
+
+
+def test_grid_adam_steps_match_the_four_node_chain():
+    batches = [_grid_examples(np.random.default_rng(k), 2, 1, (6, 5)) for k in range(3)]
+    stores = []
+    for loss in (models.grid_nll_loss, ref.grid_nll_loss):
+        model = _grid_model(1, 2)
+        store = model.params
+        for batch in batches:
+            leaves = store.leaves()
+            ad.backward(_grid_batch_loss(model, batch, leaves, loss))
+            store.accumulate(leaves)
+            ad.adam_step(store, 1e-3)
+        stores.append(store)
+    for field in ("value", "m", "v"):
+        assert_bits_equal(getattr(stores[0], field), getattr(stores[1], field))
+
+
+def _tape_size(roots):
+    """Nodes reachable from ``roots`` through ``_parents``, roots included."""
+    seen = {id(root) for root in roots}
+    stack = list(roots)
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_grid_loss_adds_one_tape_node_per_image():
+    model = _grid_model(2, 2)
+    batch = _grid_examples(np.random.default_rng(1), 3, 2, (5, 6))
+    leaves = model.params.leaves()
+    preds = [model.forward(img, ctx, tgt, leaves=leaves) for img, ctx, tgt in batch]
+    losses = [models.grid_nll_loss(p, img) for p, (img, _, _) in zip(preds, batch)]
+    forward = _tape_size([node for p in preds for node in (p.mu, p.sigma)])
+    assert _tape_size(losses) == forward + len(batch)
+
+
 def test_cnn_forward_with_skips_matches_the_op_by_op_stack():
     spec = CnnSpec(channels=(3, 4, 4, 2), skips={3: (1, 2), 4: (1, 3)})
     model = ConvCNP(gamma=8.0, cnn=spec, init_seed=2)
@@ -141,7 +225,7 @@ def test_cnn_forward_with_skips_matches_the_op_by_op_stack():
         leaves = model.params.leaves()
         signal = ad.Node(x, needs_grad=True)
         out = forward(spec, signal, leaves, "cnn", mask=mask)
-        ad.backward(ad.reduce_sum(ad.mul(out, out)))
+        ad.backward(ref.reduce_sum(ad.mul(out, out)))
         results.append([out.value, signal.grad] + [leaf.grad for leaf in leaves.values()])
     for a, b in zip(*results, strict=True):
         assert_bits_equal(a, b)
@@ -177,6 +261,27 @@ def test_train_matches_the_op_by_op_composition(kind, monkeypatch):
         assert_bits_equal(getattr(store, field), getattr(want, field))
 
 
+class TestGridLossChecks:
+    def pred(self, target_mask):
+        mu = ad.Node(np.zeros((2, 3, 4)), needs_grad=True)
+        return GridPredictive(mu, ad.constant(np.ones((2, 3, 4))), target_mask)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 3, 4), (2, 12)])
+    def test_image_that_does_not_fit_the_prediction(self, shape):
+        with pytest.raises(ad.DiffError, match="does not fit"):
+            grid_nll_loss(self.pred(np.ones((3, 4))), np.zeros(shape))
+
+    def test_empty_target_mask(self):
+        with pytest.raises(ad.DiffError, match="empty target mask"):
+            grid_nll_loss(self.pred(np.zeros((3, 4))), np.zeros((2, 3, 4)))
+
+    def test_nonpositive_sigma(self):
+        pred = self.pred(np.ones((3, 4)))
+        pred.sigma = ad.constant(np.zeros((2, 3, 4)))
+        with pytest.raises(ad.DiffError, match="sigma must be positive"):
+            grid_nll_loss(pred, np.zeros((2, 3, 4)))
+
+
 class TestNonFiniteNamesTheOp:
     # (channel 0, channel 1) at one input position: a pre-activation of +inf,
     # -inf, or nan from inf - inf; ReLU would turn the last two into 0
@@ -201,6 +306,16 @@ class TestNonFiniteNamesTheOp:
             ad.DiffError, match="op 'batch_nll' produced non-finite"
         ):
             batch_nll([good, tiny], [np.ones(3), np.ones(3)])
+
+    def test_grid_loss(self):
+        mu = ad.Node(np.zeros((1, 2, 3)), needs_grad=True)
+        sigma = np.ones((1, 2, 3))
+        sigma[0, 1, 2] = 1e-200
+        pred = GridPredictive(mu, ad.constant(sigma), np.ones((2, 3)))
+        with np.errstate(over="ignore"), pytest.raises(
+            ad.DiffError, match="op 'grid_nll_loss' produced non-finite"
+        ):
+            grid_nll_loss(pred, np.ones((1, 2, 3)))
 
     def test_nodes_keep_their_op(self):
         x = ad.Node(np.ones((2, 5)), needs_grad=True)
