@@ -7,7 +7,7 @@ posterior, while a CNP baseline with the same budget lags well behind.
 
 from convcnp.kernels import EQ
 from convcnp.models import CNPBaseline, ConvCNP
-from convcnp.oracle import gp_oracle_ll
+from convcnp.oracle import GPOracle
 from convcnp.synthdata import ProcessSpec, sample_task
 from convcnp.training import TrainConfig, derive_seed, evaluate, train
 
@@ -26,5 +26,5 @@ baseline = CNPBaseline(init_seed=0)
 train(baseline, config, process)
 print(f"CNP same budget:       {evaluate(baseline, held_out).mean_ll:+.3f}")
 
-oracle_ll, _ = gp_oracle_ll(EQ(), held_out)
+oracle_ll = evaluate(GPOracle(EQ()), held_out).mean_ll
 print(f"exact GP posterior:    {oracle_ll:+.3f}  (upper bound)")

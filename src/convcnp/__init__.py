@@ -20,6 +20,6 @@ from .models import (
     PredictiveDistribution,
     nll_loss,
 )
-from .oracle import gp_oracle_ll, gp_posterior_predict
+from .oracle import GPOracle, gp_posterior_predict
 from .synthdata import ProcessSpec, Task, gillespie_lv, gp_sample, sample_task, sawtooth_sample
 from .training import TrainConfig, evaluate, train

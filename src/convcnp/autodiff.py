@@ -168,16 +168,6 @@ def narrow(x: Node, axis: int, start: int, length: int) -> Node:
     return Node(x.value[index], (x,), vjp, op="narrow")
 
 
-def broadcast_to(x: Node, shape) -> Node:
-    """Broadcast a scalar (or broadcastable) node to a full shape."""
-    return Node(
-        np.broadcast_to(x.value, shape).copy(),
-        (x,),
-        lambda g, i: _unbroadcast(g, x.value.shape),
-        op="broadcast",
-    )
-
-
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -507,14 +497,16 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 
 def load_checkpoint(store: ParameterStore, path) -> None:
-    """Load a checkpoint; :meth:`ParameterStore.load_state_dict` checks it first."""
+    """Load a checkpoint; a malformed file raises a DiffError naming it, and writes nothing."""
     with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise DiffError(f"unsupported checkpoint version {doc.get('format_version')}")
-    store.load_state_dict(
-        {
-            entry["name"]: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for entry in doc["params"]
-        }
-    )
+        try:
+            doc = json.load(f)
+            if doc["format_version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported format version {doc['format_version']}")
+            state = {
+                entry["name"]: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                for entry in doc["params"]
+            }
+        except (KeyError, TypeError, ValueError) as err:
+            raise DiffError(f"malformed checkpoint {path}: {type(err).__name__} {err}") from err
+    store.load_state_dict(state)

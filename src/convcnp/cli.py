@@ -21,7 +21,7 @@ from . import __version__
 from . import autodiff as ad
 from .kernels import DATA_KERNELS
 from .models import CNPBaseline, CnnSpec, ConvCNP, nll_loss
-from .oracle import gp_oracle_ll
+from .oracle import GPOracle
 from .synthdata import ProcessSpec, check_settings, fits, sample_task
 from .training import TrainConfig, derive_seed, evaluate, train
 
@@ -210,45 +210,28 @@ def cmd_train(config: ExperimentConfig, args):
 def _load_model(config: ExperimentConfig, checkpoint):
     model = config.build_model()
     if checkpoint is not None:
-        if not Path(checkpoint).exists():
-            raise FileNotFoundError(f"checkpoint not found: {checkpoint}")
         ad.load_checkpoint(model.params, checkpoint)
     return model
 
 
 def cmd_evaluate(config: ExperimentConfig, args):
-    model = _load_model(config, args.checkpoint)
-    summary = evaluate(model, _eval_tasks(config, args.seed, args.tasks))
+    """Score the model and, on a GP process, the exact posterior on the same tasks."""
+    scored = [("eval", config.model.variant, _load_model(config, args.checkpoint))]
+    if config.process.kind in DATA_KERNELS:
+        scored.append(("oracle", "gp-oracle", GPOracle(DATA_KERNELS[config.process.kind])))
+    tasks = _eval_tasks(config, args.seed, args.tasks)
+    summaries = [(label, name, evaluate(model, tasks)) for label, name, model in scored]
     _write_csv(
         args.out / "eval.csv",
         _provenance(config, args.seed),
         EVAL_COLUMNS,
         [(
-            config.model.variant, config.process.kind, summary.n_tasks,
-            summary.mean_ll, summary.stderr_ll, summary.mse, summary.stderr_mse,
+            name, config.process.kind, s.n_tasks, s.mean_ll, s.stderr_ll, s.mse, s.stderr_mse,
             "in-range",
-        )],
+        ) for _, name, s in summaries],
     )
-    print(f"eval: mean LL {summary.mean_ll:.4f} +- {summary.stderr_ll:.4f}")
-
-
-def cmd_oracle(config: ExperimentConfig, args):
-    if config.process.kind not in DATA_KERNELS:
-        raise ConfigError(
-            f"oracle requires a GP process, got '{config.process.kind}'"
-        )
-    tasks = _eval_tasks(config, args.seed, args.tasks)
-    mean_ll, stderr = gp_oracle_ll(DATA_KERNELS[config.process.kind], tasks)
-    _write_csv(
-        args.out / "oracle.csv",
-        _provenance(config, args.seed),
-        EVAL_COLUMNS,
-        [(
-            "gp-oracle", config.process.kind, len(tasks),
-            mean_ll, stderr, 0.0, 0.0, "in-range",
-        )],
-    )
-    print(f"oracle: mean LL {mean_ll:.4f} +- {stderr:.4f}")
+    for label, _, s in summaries:
+        print(f"{label}: mean LL {s.mean_ll:.4f} +- {s.stderr_ll:.4f}")
 
 
 def cmd_extrapolate(config: ExperimentConfig, args):
@@ -362,7 +345,6 @@ COMMANDS = {
     "generate-data": (cmd_generate, ("out", "tasks")),
     "train": (cmd_train, ("out",)),
     "evaluate": (cmd_evaluate, ("out", "checkpoint", "tasks")),
-    "oracle": (cmd_oracle, ("out", "tasks")),
     "extrapolate": (cmd_extrapolate, ("out", "checkpoint", "shift")),
     "dump": (cmd_dump, ("out", "checkpoint")),
     "gradcheck": (cmd_gradcheck, ()),
@@ -406,7 +388,7 @@ def main(argv=None) -> int:
         if "shift" in args and args.shift is None:
             args.shift = config.eval.shift
         COMMANDS[args.command][0](config, args)
-    except (ConfigError, FileNotFoundError, RuntimeError, ValueError) as err:
+    except (ConfigError, OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

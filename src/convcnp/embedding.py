@@ -52,14 +52,19 @@ def make_grid(context_xs, target_xs, gamma: float, margin: float = 0.0) -> Unifo
     return UniformGrid(lower=float(lower), spacing=1.0 / gamma, n_points=max(n_points, 2))
 
 
+def context_order(context_x, context_y) -> np.ndarray:
+    """Sort order of a context set, by x, then by each column of (N, dim_y) ``context_y``:
+    sums taken in it are bit-identical under permutations, ties included."""
+    return np.lexsort((*context_y.T[::-1], context_x))
+
+
 def embed(context_x, context_y, grid: UniformGrid, log_length_scale: ad.Node) -> ad.Node:
     """Smooth the features phi(y) = [1, y] of a context set onto the grid.
 
     Returns the (1 + dim_y, T) channels, channel 0 the density:
     channels[:, i] = sum_n phi(y_n) * psi(t_i - x_n), differentiable in the
     smoothing kernel's log length scale.  Context points are accumulated
-    sorted by x, then by each y column, so the result is bit-identical under
-    permutations of the context set, ties included.
+    in :func:`context_order`.
     """
     context_x = np.atleast_1d(np.asarray(context_x, float))
     context_y = np.asarray(context_y, float)
@@ -68,7 +73,7 @@ def embed(context_x, context_y, grid: UniformGrid, log_length_scale: ad.Node) ->
     if context_x.size == 0:
         return ad.constant(np.zeros((1 + context_y.shape[1], grid.n_points)))
 
-    order = np.lexsort((*context_y.T[::-1], context_x))
+    order = context_order(context_x, context_y)
     context_y = context_y[order]
     psi = learnable_psi_eval(log_length_scale, grid, context_x[order], grid_axis=1)  # (N, T)
     phi = np.concatenate([np.ones((1, len(context_y))), context_y.T])  # (1 + dim_y, N)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .embedding import divide_by_density, embed, make_grid
+from .embedding import context_order, divide_by_density, embed, make_grid
 from .kernels import init_log_length_scale, learnable_psi_eval
 from .synthdata import Task, make_rng
 
@@ -301,11 +301,11 @@ class CNPBaseline:
     def forward_many(self, tasks, leaves=None) -> list:
         """One predictive distribution per task, from one encoder and one decoder pass.
 
-        All context points go through the encoder together, each task's
-        sorted by x, then by each y column, so pooling is exactly permutation
-        invariant.  A fixed (sum N, B) averaging matrix takes the per-task
-        means; an empty context pools to zeros.  A 0/1 (B, sum M) matrix then
-        hands each target its task's representation.
+        All context points go through the encoder together, each task's in
+        ``context_order``, so pooling is exactly permutation invariant.  A
+        fixed (sum N, B) averaging matrix takes the per-task means; an empty
+        context pools to zeros.  A 0/1 (B, sum M) matrix then hands each
+        target its task's representation.
         """
         if leaves is None:
             leaves = self.params.constants()
@@ -314,7 +314,7 @@ class CNPBaseline:
             ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
             if ctx_x.size:
                 ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, -1)
-                order = np.lexsort((*ctx_y.T[::-1], ctx_x))
+                order = context_order(ctx_x, ctx_y)
                 inputs.append(np.vstack([ctx_x[order][None, :], ctx_y[order].T]))
             targets.append(np.atleast_1d(np.asarray(task.target_x, float)))
             n_ctx.append(ctx_x.size)
@@ -414,10 +414,7 @@ class ConvCNPOnGrid:
         # one depthwise conv smooths the mask and every masked channel with
         # the same kernel
         stacked = np.concatenate([context_mask[None], context_mask[None] * image])
-        kernel = leaves["encoder.weight"]
-        smoothing = ad.broadcast_to(
-            ad.absolute(kernel), (len(stacked),) + kernel.value.shape[1:]
-        )
+        smoothing = ad.concat([ad.absolute(leaves["encoder.weight"])] * len(stacked), axis=0)
         smoothed = conv(
             ad.constant(stacked), smoothing, padding="circular", groups=len(stacked)
         )

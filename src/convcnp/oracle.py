@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import gaussian_ll
+from .autodiff import constant, gaussian_ll
 from .kernels import cholesky_with_jitter, gram
+from .models import PredictiveDistribution
 
 VARIANCE_CLAMP = 1e-12
 
@@ -41,12 +42,16 @@ def gp_task_ll(kernel, task) -> float:
     return float(gaussian_ll(task.target_y[:, 0], mean, std).mean())
 
 
-def standard_error(a) -> float:
-    """Standard error of the mean of array ``a`` (0 for fewer than two values)."""
-    return float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
+class GPOracle:
+    """The exact GP posterior as a model, scored by ``training.evaluate`` like any other."""
 
+    def __init__(self, kernel):
+        self.kernel = kernel
 
-def gp_oracle_ll(kernel, tasks):
-    """Mean per-task target log density plus its standard error over tasks."""
-    lls = np.array([gp_task_ll(kernel, t) for t in tasks])
-    return float(lls.mean()), standard_error(lls)
+    def forward_many(self, tasks) -> list:
+        """One constant (1, M) prediction per task."""
+        preds = []
+        for t in tasks:
+            mean, std = gp_posterior_predict(self.kernel, t.context_x, t.context_y[:, 0], t.target_x)
+            preds.append(PredictiveDistribution(constant(mean[None]), constant(std[None])))
+        return preds

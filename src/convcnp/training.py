@@ -9,7 +9,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .models import batch_nll, log_likelihood_per_point, nll_loss
-from .oracle import standard_error
 from .synthdata import ProcessSpec, check_settings, sample_task
 
 
@@ -79,6 +78,11 @@ class EvalSummary:
     stderr_mse: float
     per_task_ll: np.ndarray
     per_task_mse: np.ndarray
+
+
+def standard_error(a) -> float:
+    """Standard error of the mean of array ``a`` (0 for fewer than two values)."""
+    return float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
 
 
 _EVAL_CHUNK = 8  # tasks per batched forward in evaluate

@@ -9,9 +9,9 @@ from reference_tape import reduce_sum
 
 
 PRIMITIVE_OPS = [
-    "add", "mul", "div", "matmul", "conv1d", "conv2d", "relu",
+    "add", "mul", "div", "div-broadcast", "matmul", "conv1d", "conv2d", "relu",
     "softplus", "psi", "abs", "concat",
-    "broadcast", "conv1d-circular", "conv2d-circular",
+    "conv1d-circular", "conv2d-circular",
     "conv1d-depthwise", "conv2d-depthwise", "conv1d-relu-mask",
     "conv2d-separable-relu", "batch_nll", "grid_nll",
 ]
@@ -43,6 +43,10 @@ def primitive_case(op: str, seed: int):
         store = ad.ParameterStore({"a": a, "b": b})
         fn = getattr(ad, op)
         builder = lambda lv: reduce_sum(ad.mul(fn(lv["a"], lv["b"]), fn(lv["a"], lv["b"])))
+    elif op == "div-broadcast":
+        # the signal channels over the (1, T) density, as divide_by_density divides
+        store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((1, 4))})
+        builder = lambda lv: reduce_sum(ad.mul(ad.div(lv["a"], lv["b"]), ad.div(lv["a"], lv["b"])))
     elif op == "matmul":
         store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((4, 2))})
         builder = lambda lv: reduce_sum(ad.matmul(lv["a"], lv["b"]))
@@ -99,12 +103,6 @@ def primitive_case(op: str, seed: int):
         weights = smooth((5, 4))
         builder = lambda lv: reduce_sum(
             ad.mul(ad.concat([lv["a"], lv["b"]], axis=0), ad.constant(weights))
-        )
-    elif op == "broadcast":
-        store = ad.ParameterStore({"s": smooth(())})
-        weights = smooth((3, 4))
-        builder = lambda lv: reduce_sum(
-            ad.mul(ad.broadcast_to(lv["s"], (3, 4)), ad.constant(weights))
         )
     elif op == "batch_nll":
         # three tasks with different target counts, the second with two outputs

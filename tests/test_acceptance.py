@@ -19,7 +19,7 @@ from convcnp.cli import main as cli_main
 from convcnp.embedding import embed, make_grid
 from convcnp.kernels import DATA_KERNELS, EQ, gram
 from convcnp.models import CNPBaseline, CnnSpec, ConvCNP, ConvCNPOnGrid, nll_loss
-from convcnp.oracle import gp_oracle_ll
+from convcnp.oracle import GPOracle
 from convcnp.synthdata import (
     LV_RATES,
     ProcessSpec,
@@ -206,7 +206,7 @@ class TestCriterion5DeskScaleTraining:
         untrained_ll = evaluate(ConvCNP(gamma=32.0, init_seed=0), eval_tasks).mean_ll
         trained_ll = evaluate(model, eval_tasks).mean_ll
         cnp_ll = evaluate(cnp, eval_tasks).mean_ll
-        oracle_ll, _ = gp_oracle_ll(EQ(), eval_tasks)
+        oracle_ll = evaluate(GPOracle(EQ()), eval_tasks).mean_ll
 
         report(
             "criterion 5",

@@ -300,8 +300,15 @@ class TestCheckpoint:
         before = store.value.copy()
         partial = tmp_path / "partial.json"
         ad.save_checkpoint(ad.ParameterStore({"layer.weight": np.zeros((2, 3))}), partial)
+        # a well-formed first entry, then one without its data
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps({"format_version": 1, "params": [
+            {"name": "layer.weight", "shape": [2, 3], "data": [0.0] * 6},
+            {"name": "layer.bias", "shape": [2]},
+        ]}))
         loads = [
             lambda: ad.load_checkpoint(store, partial),
+            lambda: ad.load_checkpoint(store, malformed),
             lambda: store.load_state_dict(
                 {"layer.weight": np.zeros((2, 3)), "layer.bias": np.zeros(3)}
             ),

@@ -18,9 +18,9 @@ from convcnp.cli import (
 )
 from convcnp.kernels import DATA_KERNELS
 from convcnp.models import CNPBaseline, ConvCNP
-from convcnp.oracle import gp_oracle_ll
+from convcnp.oracle import gp_task_ll
 from convcnp.synthdata import sample_task
-from convcnp.training import derive_seed
+from convcnp.training import derive_seed, standard_error
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -260,6 +260,24 @@ class TestTrainEvaluate:
             blobs.append((out / "eval.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"format_version": 1},
+        {"format_version": 1, "params": [{"name": "encoder.log_length_scale", "shape": []}]},
+    ], ids=["list", "no-params", "entry-without-data"])
+    def test_malformed_checkpoint_fails_cleanly(self, tmp_path, capsys, doc):
+        config = write_config(tmp_path)
+        checkpoint = tmp_path / "malformed.json"
+        checkpoint.write_text(json.dumps(doc))
+        code = main([
+            "evaluate", "--config", str(config), "--out", str(tmp_path / "x"),
+            "--checkpoint", str(checkpoint), "--tasks", "2",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(checkpoint) in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = main([
@@ -271,39 +289,52 @@ class TestTrainEvaluate:
 
 
 class TestOracle:
-    def test_oracle_csv(self, tmp_path):
+    def test_oracle_csv(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        out = tmp_path / "oracle"
+        out = tmp_path / "eval"
         assert main([
-            "oracle", "--config", str(config), "--out", str(out), "--tasks", "6",
+            "evaluate", "--config", str(config), "--out", str(out), "--tasks", "6",
         ]) == 0
-        _, columns, rows = read_csv(out / "oracle.csv")
+        _, columns, rows = read_csv(out / "eval.csv")
         assert columns == list(EVAL_COLUMNS)
-        assert rows[0][0] == "gp-oracle"
+        assert [row[0] for row in rows] == ["convcnp-small", "gp-oracle"]
+        assert [row[2] for row in rows] == ["6", "6"]
         # conditioning on noiseless context must beat the N(0, 1) prior
-        assert float(rows[0][3]) > -1.42
+        assert float(rows[1][3]) > -1.42
+        assert float(rows[1][5]) > 0.0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("eval: mean LL ")
+        assert printed[1].startswith("oracle: mean LL ")
 
-    def test_oracle_csv_is_gp_oracle_ll(self, tmp_path):
+    def test_oracle_row_is_mean_and_stderr_of_gp_task_ll(self, tmp_path):
         config = write_config(tmp_path)
-        out = tmp_path / "oracle"
+        out = tmp_path / "eval"
         assert main([
-            "oracle", "--config", str(config), "--out", str(out), "--tasks", "5",
+            "evaluate", "--config", str(config), "--out", str(out), "--tasks", "5",
             "--seed", "4",
         ]) == 0
-        _, _, rows = read_csv(out / "oracle.csv")
+        _, _, rows = read_csv(out / "eval.csv")
         process = ExperimentConfig.from_file(config).process
         tasks = [sample_task(process, derive_seed(4, 3, i)) for i in range(5)]
-        expected = gp_oracle_ll(DATA_KERNELS["eq"], tasks)
-        assert (float(rows[0][3]), float(rows[0][4])) == expected
+        lls = np.array([gp_task_ll(DATA_KERNELS["eq"], t) for t in tasks])
+        assert rows[1][0] == "gp-oracle"
+        assert (float(rows[1][3]), float(rows[1][4])) == (lls.mean(), standard_error(lls))
 
-    def test_oracle_rejects_non_gp_process(self, tmp_path, capsys):
+    def test_non_gp_process_has_no_oracle_row(self, tmp_path, capsys):
         config = write_config(tmp_path, process={"kind": "sawtooth"})
-        code = main([
-            "oracle", "--config", str(config), "--out", str(tmp_path / "x"),
-            "--tasks", "2",
-        ])
-        assert code == 1
-        assert "sawtooth" in capsys.readouterr().err
+        out = tmp_path / "eval"
+        assert main([
+            "evaluate", "--config", str(config), "--out", str(out), "--tasks", "2",
+        ]) == 0
+        _, _, rows = read_csv(out / "eval.csv")
+        assert [row[0] for row in rows] == ["convcnp-small"]
+        assert "oracle" not in capsys.readouterr().out
+
+    def test_oracle_command_is_gone(self, tmp_path):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
 
 
 class TestOtherCommands:
@@ -444,6 +475,24 @@ class TestOtherCommands:
         assert [float(r[1]) for r in rows] == [MAX_SHIFT] * 3
         for row in rows:
             assert float(row[2]) < 1e-10
+
+    @pytest.mark.parametrize("case", ["checkpoint-dir", "config-dir", "train-out", "generate-out"])
+    def test_os_errors_fail_cleanly(self, tmp_path, capsys, case):
+        config = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {
+            "checkpoint-dir": [
+                "evaluate", "--config", str(config), "--checkpoint", str(tmp_path),
+                "--out", str(tmp_path / "x"),
+            ],
+            "config-dir": ["train", "--config", str(tmp_path), "--out", str(tmp_path / "x")],
+            "train-out": ["train", "--config", str(config), "--out", str(taken)],
+            "generate-out": ["generate-data", "--config", str(config), "--out", str(taken)],
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
 
     def test_bad_config_path(self, tmp_path, capsys):
         code = main([

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from convcnp.kernels import EQ, Matern52, gram
-from convcnp.oracle import gaussian_ll, gp_oracle_ll, gp_posterior_predict
+from convcnp.kernels import DATA_KERNELS, EQ, Matern52, gram
+from convcnp.oracle import GPOracle, gaussian_ll, gp_posterior_predict, gp_task_ll
 from convcnp.synthdata import ProcessSpec, Task, gp_sample, make_rng, sample_task
+from convcnp.training import evaluate, standard_error
 
 
 class TestPosteriorPredict:
@@ -54,7 +55,7 @@ class TestOracleLL:
 
     def test_empty_context_ll_is_prior_log_density(self):
         tasks = [self._prior_task(s) for s in range(20)]
-        mean_ll, _ = gp_oracle_ll(EQ(), tasks)
+        mean_ll = evaluate(GPOracle(EQ()), tasks).mean_ll
         expected = np.mean([
             gaussian_ll(t.target_y[:, 0], 0.0, 1.0).mean() for t in tasks
         ])
@@ -89,7 +90,21 @@ class TestOracleLL:
 
     def test_deterministic(self):
         tasks = [sample_task(ProcessSpec("eq"), s) for s in range(10)]
-        assert gp_oracle_ll(EQ(), tasks) == gp_oracle_ll(EQ(), tasks)
+        first, second = (evaluate(GPOracle(EQ()), tasks) for _ in range(2))
+        np.testing.assert_array_equal(first.per_task_ll, second.per_task_ll)
+        assert (first.mean_ll, first.stderr_ll) == (second.mean_ll, second.stderr_ll)
+
+    @pytest.mark.parametrize("kind", sorted(DATA_KERNELS))
+    @pytest.mark.parametrize("n_context", [(3, 50), (0, 0)], ids=["context", "empty-context"])
+    def test_evaluate_scores_each_task_as_gp_task_ll(self, kind, n_context):
+        # one scoring path: evaluate on the oracle gives gp_task_ll, bit for bit
+        kernel = DATA_KERNELS[kind]
+        tasks = [sample_task(ProcessSpec(kind, n_context=n_context), s) for s in range(12)]
+        summary = evaluate(GPOracle(kernel), tasks)
+        expected = np.array([gp_task_ll(kernel, t) for t in tasks])
+        np.testing.assert_array_equal(summary.per_task_ll, expected)
+        assert summary.mean_ll == expected.mean()
+        assert summary.stderr_ll == standard_error(expected)
 
     def test_mean_reproduces_context(self, rng):
         xs = rng.uniform(-2, 2, size=6)
