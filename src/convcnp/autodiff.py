@@ -11,7 +11,9 @@ everything runs in float64 so finite-difference checks are reliable.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,41 +188,70 @@ def gaussian_ll_grad(g, y, mu, sigma, i) -> np.ndarray:
 
 
 def _pad(x, pad, mode, op):
-    """Pad every spatial axis (all but the first) by ``pad`` on both sides."""
+    """Pad every spatial axis (all but the first) by ``pad`` on both sides;
+    circular padding gathers each axis at its indices modulo its length."""
     if mode not in ("zeros", "circular"):
         raise DiffError(f"op '{op}': unknown padding mode '{mode}'")
     if pad == 0:
         return x
     if mode == "circular":
-        return np.pad(x, ((0, 0),) + ((pad, pad),) * (x.ndim - 1), mode="wrap")
+        for axis, n in enumerate(x.shape[1:], 1):
+            x = x.take((np.arange(n + 2 * pad) - pad) % n, axis=axis)
+        return x
     out = np.zeros(x.shape[:1] + tuple(n + 2 * pad for n in x.shape[1:]), x.dtype)
     out[(slice(None),) + (slice(pad, -pad),) * (x.ndim - 1)] = x
     return out
 
 
 def _windows(xp, k, groups):
-    """The window matrix (groups, C / groups * k^d, |S|) of an input (C, *S)
-    already padded by (k - 1) / 2: rows (channel, tap) in a group, columns S.
-    """
-    nd = xp.ndim - 1
-    # window-first view (channel, *taps, *positions): taps stride like positions
-    shape = xp.shape[:1] + (k,) * nd + tuple(n - k + 1 for n in xp.shape[1:])
-    strides = xp.strides[:1] + xp.strides[1:] * 2
+    """The window matrix (groups, C / groups * k, |S'|) of an input (C, *S) padded by
+    (k - 1) / 2, along its last axis only: rows (channel, tap); S' keeps the padding."""
+    # window-first view (channel, tap, *positions): the tap strides like the last axis
+    shape = xp.shape[:1] + (k,) + xp.shape[1:-1] + (xp.shape[-1] - k + 1,)
+    strides = xp.strides[:1] + xp.strides[-1:] + xp.strides[1:]
     windows = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
-    return windows.reshape(groups, xp.shape[0] // groups * k**nd, -1)
+    return windows.reshape(groups, xp.shape[0] // groups * k, -1)
+
+
+def _row_taps(xp, k, groups, spatial):
+    """Each tap t of the leading spatial axis (1-D has one, ()) and the window
+    matrix of ``xp`` shifted by t rows, a view (groups, rows, |S|)."""
+    cols = _windows(xp, k, groups)  # in 2-D a copy: the flattened windows overlap
+    size = math.prod(spatial)
+    for t in itertools.product(range(k), repeat=len(spatial) - 1):
+        start = sum(t) * spatial[-1]
+        yield t, cols[:, :, start:start + size]
+
+
+def _correlate(xp, w, groups, spatial):
+    """Same-size grouped correlation of a padded input with ``w``: one batched
+    matmul per leading tap, summed in tap order."""
+    channels = (slice(None),) * 2
+    # a list index copies a tap's weights, so a flipped kernel reaches BLAS contiguous
+    parts = (
+        np.matmul(w[channels + tuple([i] for i in t)].reshape(groups, len(w) // groups, -1), cols)
+        for t, cols in _row_taps(xp, w.shape[-1], groups, spatial)
+    )
+    out = next(parts)
+    for part in parts:
+        out += part
+    return out.reshape(w.shape[0], *spatial)
 
 
 def _conv(x: Node, w: Node, bias, padding, groups, nd, relu, mask) -> Node:
-    """Grouped cross-correlation over ``nd`` spatial axes as im2col plus matmul.
+    """Grouped cross-correlation over ``nd`` spatial axes as matmuls on BLAS.
 
     ``x`` is (C_in, *S) and ``w`` is (C_out, C_in / groups, k, ..., k) with
     odd k; stride 1 and (k - 1) / 2 padding keep the spatial shape S.  The
-    window matrix of the padded input meets the weights in one batched matmul.
-    The weight gradient is the output gradient times the transposed window
-    matrix, rebuilt from the padded input.  The input gradient is the same
-    correlation of the output gradient, with the kernel flipped on every
-    spatial axis and its in and out channels swapped within each group: the
-    adjoint of a same-size correlation, zero-padded or circular alike.
+    padded input is windowed along its last axis only, a k-fold copy, and
+    each tap of the leading axis meets its slice of the weights in one
+    batched matmul on a shifted view of that matrix: k matmuls in 2-D, one
+    in 1-D.  The weight gradient is, per leading tap, the output gradient
+    times the transposed view, rebuilt from the padded input.  The input
+    gradient is the same correlation of the output gradient, with the kernel
+    flipped on every spatial axis and its in and out channels swapped within
+    each group: the adjoint of a same-size correlation, zero-padded or
+    circular alike.
     ``relu`` and ``mask`` gate the output in the same node, and the vjp
     multiplies the output gradient by that gate once.
     """
@@ -241,8 +272,7 @@ def _conv(x: Node, w: Node, bias, padding, groups, nd, relu, mask) -> Node:
     c_out_g = c_out // groups
     pad = (k - 1) // 2
     xp = _pad(x.value, pad, padding, op)
-    wm = w.value.reshape(groups, c_out_g, -1)
-    out = np.matmul(wm, _windows(xp, k, groups)).reshape(c_out, *spatial)
+    out = _correlate(xp, w.value, groups, spatial)
     parents = [x, w]
     if bias is not None:
         if bias.value.shape != (c_out,):
@@ -266,12 +296,14 @@ def _conv(x: Node, w: Node, bias, padding, groups, nd, relu, mask) -> Node:
             return g.sum(axis=tuple(range(1, nd + 1)))
         if i == 1:
             gm = g.reshape(groups, c_out_g, -1)
-            cols = _windows(xp, k, groups).transpose(0, 2, 1)
-            return np.matmul(gm, cols).reshape(w.value.shape)
+            dw = np.empty(w.value.shape)
+            for t, cols in _row_taps(xp, k, groups, spatial):
+                dw[(slice(None),) * 2 + t] = (gm @ cols.transpose(0, 2, 1)).reshape(c_out, c_in_g, k)
+            return dw
         w_adj = w.value.reshape(groups, c_out_g, c_in_g, *w.value.shape[2:])
         w_adj = np.flip(w_adj, tuple(range(3, nd + 3))).swapaxes(1, 2)
-        cols = _windows(_pad(g, pad, padding, op), k, groups)
-        return np.matmul(w_adj.reshape(groups, c_in_g, -1), cols).reshape(c_in, *spatial)
+        w_adj = w_adj.reshape(c_in, c_out_g, *w.value.shape[2:])
+        return _correlate(_pad(g, pad, padding, op), w_adj, groups, spatial)
 
     return Node(out, parents, vjp, op=op)
 
@@ -402,10 +434,12 @@ class ParameterStore:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Write a full state; nothing is written unless every name and shape fits."""
         if state.keys() != self._params.keys():
+            def some(names, what):  # the count, and the first three names
+                shown = ", ".join(sorted(names)[:3]) + ", ..." * (len(names) > 3)
+                return f"{len(names)} {what}" + f" ({shown})" * bool(names)
             raise DiffError(
-                f"state does not match the parameters: missing "
-                f"{sorted(self._params.keys() - state.keys())}, unknown "
-                f"{sorted(state.keys() - self._params.keys())}"
+                f"parameters: {some(self._params.keys() - state.keys(), 'missing')}, "
+                f"{some(state.keys() - self._params.keys(), 'unknown')}"
             )
         for name, value in state.items():
             if np.shape(value) != self._params[name].value.shape:
@@ -497,7 +531,8 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 
 def load_checkpoint(store: ParameterStore, path) -> None:
-    """Load a checkpoint; a malformed file raises a DiffError naming it, and writes nothing."""
+    """Load a checkpoint; a malformed file, or one whose names or shapes do not
+    fit the store, raises a DiffError naming it, and writes nothing."""
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -509,4 +544,7 @@ def load_checkpoint(store: ParameterStore, path) -> None:
             }
         except (KeyError, TypeError, ValueError) as err:
             raise DiffError(f"malformed checkpoint {path}: {type(err).__name__} {err}") from err
-    store.load_state_dict(state)
+    try:
+        store.load_state_dict(state)
+    except DiffError as err:
+        raise DiffError(f"checkpoint {path}: {err}") from None

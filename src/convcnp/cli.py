@@ -210,7 +210,10 @@ def cmd_train(config: ExperimentConfig, args):
 def _load_model(config: ExperimentConfig, checkpoint):
     model = config.build_model()
     if checkpoint is not None:
-        ad.load_checkpoint(model.params, checkpoint)
+        try:
+            ad.load_checkpoint(model.params, checkpoint)
+        except ad.DiffError as err:
+            raise ad.DiffError(f"{err} (model.variant {config.model.variant!r})") from None
     return model
 
 

@@ -3,8 +3,9 @@
 These are the direct forms of five rewrites in ``convcnp``, which must match
 them bit for bit:
 
-- padding with ``np.pad`` in both modes, and the window matrix from
-  ``sliding_window_view`` plus a transpose (``autodiff._pad``, ``_windows``);
+- padding with ``np.pad`` in both modes, and the last-axis window matrix
+  from ``sliding_window_view`` plus a move of the tap axis (``autodiff._pad``,
+  ``_windows``);
 - ``concat``'s vjp as ``np.split`` of the whole gradient (``autodiff.concat``);
 - each hidden conv layer as conv, then ``relu``, then ``mul`` by the column
   mask, three nodes (``models.cnn_forward``);
@@ -15,6 +16,9 @@ them bit for bit:
 
 ``reduce_sum`` and ``gaussian_log_pdf`` are the primitives those forms were
 built from; the tests also use ``reduce_sum`` to make scalar losses.
+``windows`` and ``one_gemm_conv`` are the conv's earlier lowering: a window
+matrix over every spatial axis, and one matmul each for the value and both
+vjps.  The 1-D conv must still match it bit for bit.
 """
 
 import numpy as np
@@ -30,12 +34,33 @@ def pad(x, width, mode, op="conv"):
     return np.pad(x, widths, mode="constant" if mode == "zeros" else "wrap")
 
 
+def last_axis_windows(xp, k, groups):
+    view = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)  # (C, *S, k)
+    rows = xp.shape[0] // groups * k
+    return np.moveaxis(view, -1, 1).reshape(groups, rows, -1)
+
+
 def windows(xp, k, groups):
     nd = xp.ndim - 1
     axes = tuple(range(1, nd + 1))
     view = np.lib.stride_tricks.sliding_window_view(xp, (k,) * nd, axis=axes)
     order = (0,) + tuple(range(nd + 1, 2 * nd + 1)) + axes  # (channel, *taps, *positions)
     return view.transpose(order).reshape(groups, xp.shape[0] // groups * k**nd, -1)
+
+
+def one_gemm_conv(x, w, padding, groups, g):
+    """A conv's value, input vjp and weight vjp of ``g``, each as one batched
+    matmul with the window matrix over every spatial axis."""
+    c_out, c_in_g, k = w.shape[:3]
+    nd, width = x.ndim - 1, (k - 1) // 2
+    cols = windows(pad(x, width, padding), k, groups)
+    out = np.matmul(w.reshape(groups, c_out // groups, -1), cols)
+    dw = np.matmul(g.reshape(groups, c_out // groups, -1), cols.transpose(0, 2, 1))
+    w_adj = w.reshape(groups, c_out // groups, c_in_g, *w.shape[2:])
+    w_adj = np.flip(w_adj, tuple(range(3, nd + 3))).swapaxes(1, 2)
+    cols = windows(pad(g, width, padding), k, groups)
+    dx = np.matmul(w_adj.reshape(groups, c_in_g, -1), cols)
+    return out.reshape(c_out, *x.shape[1:]), dx.reshape(x.shape), dw.reshape(w.shape)
 
 
 def concat(nodes, axis=0):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convcnp import autodiff as ad
 from convcnp.cli import (
     EVAL_COLUMNS,
     MAX_SHIFT,
@@ -276,6 +277,23 @@ class TestTrainEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(checkpoint) in err
+        assert not (tmp_path / "x").exists()
+
+    def test_checkpoint_of_another_variant_fails_briefly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cnp = ExperimentConfig.from_file(write_config(tmp_path, model={"variant": "cnp"}))
+        checkpoint = "cnp.json"
+        ad.save_checkpoint(cnp.build_model().params, checkpoint)
+        config = write_config(tmp_path)
+        code = main([
+            "evaluate", "--config", str(config), "--out", "x", "--checkpoint", checkpoint,
+            "--tasks", "2",
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and len(lines[0]) < 200
+        assert checkpoint in lines[0] and "'convcnp-small'" in lines[0]
+        assert re.search(r"\d+ missing \(([^,()]+, ){2}[^,()]+, \.\.\.\)", lines[0])
         assert not (tmp_path / "x").exists()
 
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):

@@ -45,6 +45,31 @@ def test_matches_reference(ndim, k, padding, groups):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+# The conv2d layers of ConvCNPOnGrid's default stack on a 28x28 image:
+# (C_in, groups, C_out, k), depthwise 5x5 and pointwise 1x1.
+ONGRID_LAYERS = {
+    "dw2": (2, 2, 2, 5), "dw16": (16, 16, 16, 5), "dw32": (32, 32, 32, 5),
+    "pw2-16": (2, 1, 16, 1), "pw16-32": (16, 1, 32, 1), "pw32-16": (32, 1, 16, 1),
+    "head": (16, 1, 2, 1),
+}
+
+
+@pytest.mark.parametrize("layer", list(ONGRID_LAYERS))
+@pytest.mark.parametrize("padding", ["zeros", "circular"])
+def test_matches_reference_at_ongrid_shapes(layer, padding):
+    c_in, groups, c_out, k = ONGRID_LAYERS[layer]
+    rng = np.random.default_rng(c_in + c_out + k + len(padding))
+    x = rng.normal(size=(c_in, 28, 28))
+    w = rng.normal(size=(c_out, c_in // groups, k, k))
+    bias = rng.normal(size=c_out) if k == 1 else None
+    ref_out, ref_vjp = reference_conv(x, w, bias, padding, groups)
+    g = rng.normal(size=ref_out.shape)
+    out, grads = _tape_conv(x, w, bias, padding, groups, g)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    for got, want in zip(grads, ref_vjp(g), strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def _central_diff(f, a, step=1e-5):
     grad = np.zeros_like(a)
     for idx in np.ndindex(a.shape):
@@ -96,6 +121,23 @@ def test_even_kernel_and_unknown_padding_rejected():
         ad.conv1d(x, ad.constant(np.ones((2, 2, 3))), padding="reflect")
 
 
+_ONGRID_STEP = """
+import sys
+import numpy as np
+from convcnp import autodiff as ad
+from convcnp.models import ConvCNPOnGrid, grid_nll_loss
+
+rng = np.random.default_rng(3)
+image = rng.random((1, 28, 28))
+context = (rng.random((28, 28)) < 0.3) * 1.0
+model = ConvCNPOnGrid(channels=1, ndim=2, init_seed=5)
+leaves = model.params.leaves()
+pred = model.forward(image, context, 1.0 - context, leaves=leaves)
+ad.backward(grid_nll_loss(pred, image))
+arrays = [pred.mean, pred.std] + [leaf.grad for leaf in leaves.values()]
+sys.stdout.buffer.write(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+"""
+
 _XL_STEP = """
 import sys
 import numpy as np
@@ -125,4 +167,19 @@ def test_two_blas_threads_give_identical_xl_steps():
         for _ in range(2)
     ]
     assert len(runs[0]) > 8 * 400_000  # predictions plus every gradient
+    assert runs[0] == runs[1]
+
+
+def test_two_blas_threads_give_identical_ongrid_steps():
+    """A 2-D on-grid forward and backward, k matmuls summed per conv, is too."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _ONGRID_STEP], env=env, capture_output=True, check=True
+        ).stdout
+        for _ in range(2)
+    ]
+    assert len(runs[0]) > 8 * 2 * 28 * 28  # predictions plus every gradient
     assert runs[0] == runs[1]

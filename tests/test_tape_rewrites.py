@@ -57,7 +57,9 @@ def test_pad_matches_np_pad(rank, width, mode, contiguous):
 def test_windows_match_sliding_window_view(rank, width, groups, contiguous):
     xp = _inputs(np.random.default_rng(rank + 3 * width), rank, contiguous)
     k = 2 * width + 1
-    assert_bits_equal(ad._windows(xp, k, groups), ref.windows(xp, k, groups))
+    assert_bits_equal(ad._windows(xp, k, groups), ref.last_axis_windows(xp, k, groups))
+    if rank == 1:  # along the one axis, the window matrix over every axis
+        assert_bits_equal(ad._windows(xp, k, groups), ref.windows(xp, k, groups))
 
 
 def _layer_grads(layer, arrays, g):
@@ -97,6 +99,24 @@ def test_fused_layer_matches_conv_relu_mask(case):
     assert (got[0] == 0).any() and (got[0] > 0).any()
     assert_bits_equal(got[0], want[0])
     for a, b in zip(got[1], want[1], strict=True):
+        assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("case", [c for c, layer in _LAYERS.items() if len(layer[0]) == 2])
+@pytest.mark.parametrize("padding", ["zeros", "circular"])
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_conv1d_matches_the_one_gemm_lowering(case, padding, depthwise):
+    """1-D convs still run one matmul each for the value and both vjps."""
+    x_shape, w_shape, _, _ = _LAYERS[case]
+    if depthwise:  # two output channels per input channel
+        w_shape = (2 * x_shape[0], 1, w_shape[2])
+    groups = x_shape[0] if depthwise else 1
+    rng = np.random.default_rng(len(case) + len(padding) + groups)
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    g = rng.normal(size=(w_shape[0],) + x_shape[1:])
+    got = _layer_grads(lambda x, w: ad.conv1d(x, w, padding=padding, groups=groups), [x, w], g)
+    want = ref.one_gemm_conv(x, w, padding, groups, g)
+    for a, b in zip((got[0], *got[1]), want, strict=True):
         assert_bits_equal(a, b)
 
 
