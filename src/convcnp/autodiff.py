@@ -103,21 +103,6 @@ def mul(a: Node, b: Node) -> Node:
     )
 
 
-def div(a: Node, b: Node) -> Node:
-    """Elementwise division.  No implicit epsilon: callers guard denominators."""
-    _check_same_shape("div", a, b)
-    return Node(
-        a.value / b.value,
-        (a, b),
-        lambda g, i: (
-            _unbroadcast(g / b.value, a.value.shape)
-            if i == 0
-            else _unbroadcast(-g * a.value / b.value**2, b.value.shape)
-        ),
-        op="div",
-    )
-
-
 def matmul(a: Node, b: Node) -> Node:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise DiffError(
@@ -485,15 +470,20 @@ def grad_check(builder, store: ParameterStore, step: float = 1e-5) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
     ``builder`` maps a dict of leaf nodes to a scalar loss node and must be
-    deterministic.  Relative error per element is
-    |analytic - fd| / max(1e-6, |fd|, |analytic|); the absolute guard keeps
-    central-difference roundoff noise (~|loss| * eps / step) from dominating
-    elements whose true gradient is near zero.  The finite-difference
-    forwards run on :meth:`ParameterStore.constants` and keep no tape.
+    deterministic; the finite-difference forwards run on
+    :meth:`ParameterStore.constants` and keep no tape.  Each forward value
+    is rounded by about eps * |loss| (eps the float64 machine epsilon: half
+    an ulp in its last operation, as much again before it), so
+    fd = (hi - lo) / (2 * step) may be off by eps * |loss| / step for an
+    exact gradient.  That much of each |analytic - fd| is forgiven, and the
+    rest is divided by max(1e-6, |fd|, |analytic|), whose guard keeps
+    near-zero gradients from dominating.
     """
     leaves = store.leaves()
-    backward(builder(leaves))
+    loss = builder(leaves)
+    backward(loss)
     analytic = np.concatenate([node.grad.ravel() for node in leaves.values()])
+    roundoff = np.finfo(np.float64).eps * abs(float(loss.value)) / step
 
     worst = 0.0
     flat = store.value
@@ -505,7 +495,7 @@ def grad_check(builder, store: ParameterStore, step: float = 1e-5) -> float:
         lo = float(builder(store.constants()).value)
         flat[i] = orig
         fd = (hi - lo) / (2.0 * step)
-        err = abs(analytic[i] - fd) / max(1e-6, abs(fd), abs(analytic[i]))
+        err = max(0.0, abs(analytic[i] - fd) - roundoff) / max(1e-6, abs(fd), abs(analytic[i]))
         worst = max(worst, err)
     return worst
 

@@ -83,9 +83,17 @@ def embed(context_x, context_y, grid: UniformGrid, log_length_scale: ad.Node) ->
 def divide_by_density(channels: ad.Node) -> ad.Node:
     """Divide channels 1.. by (channel 0 + DENSITY_EPS); channel 0, the density, stays.
 
-    ``channels`` is channels-first, (C, ...) over any grid shape.
+    ``channels`` is channels-first, (C, ...) over any grid shape.  One node:
+    with d the density plus DENSITY_EPS and s_c the signal channels, the vjp
+    passes g_c / d to each signal row and g_0 + sum_c(-g_c * s_c / d**2) to
+    the density row.
     """
-    density = ad.narrow(channels, 0, 0, 1)
-    signal = ad.narrow(channels, 0, 1, channels.value.shape[0] - 1)
-    normalized = ad.div(signal, ad.add(density, ad.constant(np.asarray(DENSITY_EPS))))
-    return ad.concat([density, normalized], axis=0)
+    x = channels.value
+    signal, denom = x[1:], x[:1] + DENSITY_EPS
+
+    def vjp(g, i):  # + 0.0 turns -0.0 into 0.0, as adding each slice's gradient to zeros does
+        d_density = (-g[1:] * signal / denom**2).sum(axis=0, keepdims=True)
+        return np.concatenate([g[:1] + d_density, g[1:] / denom]) + 0.0
+
+    value = np.concatenate([x[:1], signal / denom])
+    return ad.Node(value, (channels,), vjp, op="divide_by_density")

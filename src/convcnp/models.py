@@ -22,11 +22,10 @@ KERNEL_SIZE = 5  # taps per axis of every conv kernel that is not 1x1
 
 
 def _floor_sigma(sigma: ad.Node) -> ad.Node:
-    """Mix the raw deviation with SIGMA_MIN so it stays above 0.1 * SIGMA_MIN."""
-    return ad.add(
-        ad.constant(np.asarray(SIGMA_FLOOR_WEIGHT * SIGMA_MIN)),
-        ad.mul(ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)), sigma),
-    )
+    """Mix the raw deviation with SIGMA_MIN so it stays above 0.1 * SIGMA_MIN, as one node."""
+    scale = 1.0 - SIGMA_FLOOR_WEIGHT
+    return ad.Node(SIGMA_FLOOR_WEIGHT * SIGMA_MIN + scale * sigma.value, (sigma,),
+                   lambda g, i: g * scale, op="floor_sigma")
 
 
 @dataclass(frozen=True)

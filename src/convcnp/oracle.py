@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import constant, gaussian_ll
+from .autodiff import constant
 from .kernels import cholesky_with_jitter, gram
-from .models import PredictiveDistribution
+from .models import PredictiveDistribution, log_likelihood_per_point
 
 VARIANCE_CLAMP = 1e-12
 
@@ -36,10 +36,7 @@ def gp_posterior_predict(kernel, context_x, context_y, xs):
 
 def gp_task_ll(kernel, task) -> float:
     """Mean log density of a task's targets under the exact posterior."""
-    mean, std = gp_posterior_predict(
-        kernel, task.context_x, task.context_y[:, 0], task.target_x
-    )
-    return float(gaussian_ll(task.target_y[:, 0], mean, std).mean())
+    return log_likelihood_per_point(GPOracle(kernel).forward_many([task])[0], task.target_y)
 
 
 class GPOracle:

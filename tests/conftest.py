@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from convcnp import autodiff as ad
-from convcnp.embedding import UniformGrid
+from convcnp import models
+from convcnp.embedding import UniformGrid, divide_by_density
 from convcnp.kernels import learnable_psi_eval
 from convcnp.models import GridPredictive, PredictiveDistribution, batch_nll, grid_nll_loss
 from reference_tape import reduce_sum
 
 
 PRIMITIVE_OPS = [
-    "add", "mul", "div", "div-broadcast", "matmul", "conv1d", "conv2d", "relu",
-    "softplus", "psi", "abs", "concat",
+    "add", "add-broadcast", "mul", "matmul", "conv1d", "conv2d", "relu",
+    "softplus", "psi", "abs", "concat", "narrow", "divide_by_density", "floor_sigma",
     "conv1d-circular", "conv2d-circular",
     "conv1d-depthwise", "conv2d-depthwise", "conv1d-relu-mask",
     "conv2d-separable-relu", "batch_nll", "grid_nll",
@@ -31,22 +32,31 @@ def primitive_case(op: str, seed: int):
     """One primitive embedded in a scalar loss: ``(builder, store)``.
 
     Inputs are drawn away from non-differentiable points (relu/abs kinks,
-    div singularities) so the central-difference oracle is valid.
+    zero density) so the central-difference oracle is valid.
     """
     rng = np.random.default_rng(seed)
 
     def smooth(shape, low=0.5, high=1.5):
         return rng.uniform(low, high, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
-    if op in ("add", "mul", "div"):
-        a, b = smooth((3, 4)), smooth((3, 4))
-        store = ad.ParameterStore({"a": a, "b": b})
-        fn = getattr(ad, op)
+    if op in ("add", "mul", "add-broadcast"):
+        # a (3, 1) bias over (3, 4), as the CNP adds it, reduces in the vjp
+        b_shape = (3, 1) if op == "add-broadcast" else (3, 4)
+        store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth(b_shape)})
+        fn = getattr(ad, op.split("-")[0])
         builder = lambda lv: reduce_sum(ad.mul(fn(lv["a"], lv["b"]), fn(lv["a"], lv["b"])))
-    elif op == "div-broadcast":
-        # the signal channels over the (1, T) density, as divide_by_density divides
-        store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((1, 4))})
-        builder = lambda lv: reduce_sum(ad.mul(ad.div(lv["a"], lv["b"]), ad.div(lv["a"], lv["b"])))
+    elif op == "narrow":
+        store = ad.ParameterStore({"x": smooth((3, 5))})
+        builder = lambda lv: reduce_sum(
+            ad.mul(ad.narrow(lv["x"], 1, 1, 3), ad.narrow(lv["x"], 1, 2, 3))
+        )
+    elif op in ("divide_by_density", "floor_sigma"):
+        # divide_by_density: a density channel and two signal channels on a 2-D grid
+        x = smooth((3, 2, 4))
+        x[0] = np.abs(x[0])
+        store = ad.ParameterStore({"x": x})
+        fn = divide_by_density if op == "divide_by_density" else models._floor_sigma
+        builder = lambda lv: reduce_sum(ad.mul(fn(lv["x"]), fn(lv["x"])))
     elif op == "matmul":
         store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((4, 2))})
         builder = lambda lv: reduce_sum(ad.matmul(lv["a"], lv["b"]))

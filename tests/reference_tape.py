@@ -1,6 +1,6 @@
-"""Reference tape compositions: the conv stack and the losses op by op.
+"""Reference tape compositions: the conv stack, the losses and the model stages op by op.
 
-These are the direct forms of five rewrites in ``convcnp``, which must match
+These are the direct forms of seven rewrites in ``convcnp``, which must match
 them bit for bit:
 
 - padding with ``np.pad`` in both modes, and the last-axis window matrix
@@ -12,10 +12,14 @@ them bit for bit:
 - the batch loss as one Gaussian log density, mean and negation per task,
   summed by ``add`` and scaled by ``mul`` (``models.batch_nll``);
 - the on-grid loss as a Gaussian log density, ``mul`` by the target mask,
-  ``reduce_sum`` and ``mul`` by -1 / count (``models.grid_nll_loss``).
+  ``reduce_sum`` and ``mul`` by -1 / count (``models.grid_nll_loss``);
+- the density division as two ``narrow``s, an ``add`` of DENSITY_EPS, a
+  ``div`` and a ``concat`` (``embedding.divide_by_density``);
+- the deviation floor as a ``mul`` and an ``add`` of two constants
+  (``models._floor_sigma``).
 
-``reduce_sum`` and ``gaussian_log_pdf`` are the primitives those forms were
-built from; the tests also use ``reduce_sum`` to make scalar losses.
+``reduce_sum``, ``gaussian_log_pdf`` and ``div`` are the primitives those
+forms were built from; the tests also use ``reduce_sum`` to make scalar losses.
 ``windows`` and ``one_gemm_conv`` are the conv's earlier lowering: a window
 matrix over every spatial axis, and one matmul each for the value and both
 vjps.  The 1-D conv must still match it bit for bit.
@@ -24,7 +28,8 @@ vjps.  The 1-D conv must still match it bit for bit.
 import numpy as np
 
 from convcnp import autodiff as ad
-from convcnp.models import _target_rows
+from convcnp.embedding import DENSITY_EPS
+from convcnp.models import SIGMA_FLOOR_WEIGHT, SIGMA_MIN, _target_rows
 
 
 def pad(x, width, mode, op="conv"):
@@ -156,3 +161,32 @@ def grid_nll_loss(pred, image):
     masked = ad.mul(lp, ad.constant(np.broadcast_to(mask, image.shape).copy()))
     total = reduce_sum(masked)
     return ad.mul(total, ad.constant(np.asarray(-1.0 / count)))
+
+
+def div(a, b):
+    """Elementwise division.  No implicit epsilon: callers guard denominators."""
+    ad._check_same_shape("div", a, b)
+    return ad.Node(
+        a.value / b.value,
+        (a, b),
+        lambda g, i: (
+            ad._unbroadcast(g / b.value, a.value.shape)
+            if i == 0
+            else ad._unbroadcast(-g * a.value / b.value**2, b.value.shape)
+        ),
+        op="div",
+    )
+
+
+def divide_by_density(channels):
+    density = ad.narrow(channels, 0, 0, 1)
+    signal = ad.narrow(channels, 0, 1, channels.value.shape[0] - 1)
+    normalized = div(signal, ad.add(density, ad.constant(np.asarray(DENSITY_EPS))))
+    return ad.concat([density, normalized], axis=0)
+
+
+def floor_sigma(sigma):
+    return ad.add(
+        ad.constant(np.asarray(SIGMA_FLOOR_WEIGHT * SIGMA_MIN)),
+        ad.mul(ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)), sigma),
+    )

@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 from convcnp import autodiff as ad
+from convcnp.models import (
+    CNPBaseline,
+    CnnSpec,
+    ConvCNP,
+    ConvCNPOnGrid,
+    batch_nll,
+    grid_nll_loss,
+)
+from convcnp.synthdata import ProcessSpec, sample_task
 from conftest import PRIMITIVE_OPS, primitive_case, primitive_grad_error
 from reference_adam import reference_adam_step, reference_params
-from reference_tape import reduce_sum
+from reference_tape import mean_loss, reduce_sum
 
 
 def test_softplus_at_zero():
@@ -121,6 +130,45 @@ def test_primitive_gradients(op):
         ad.backward(builder(alone))
         np.testing.assert_array_equal(alone[name].grad, every[name].grad)
         assert all(alone[other]._grad is None for other in alone if other != name)
+
+
+def _training_tape(model):
+    """The loss of one training step of four tasks or images, as ``train`` and
+    ``perfbench`` build it."""
+    leaves = model.params.leaves()
+    if isinstance(model, ConvCNPOnGrid):
+        rng = np.random.default_rng(0)
+        context = (rng.random((6, 5)) < 0.4).astype(float)
+        losses = []
+        for _ in range(4):
+            image = rng.normal(size=(1, 6, 5))
+            pred = model.forward(image, context, 1.0 - context, leaves=leaves)
+            losses.append(grid_nll_loss(pred, image))
+        return mean_loss(losses)
+    process = ProcessSpec.default_for("lotka-volterra" if model.dim_y == 2 else "eq")
+    tasks = [sample_task(process, seed) for seed in range(4)]
+    preds = model.forward_many(tasks, leaves=leaves)
+    return batch_nll(preds, [t.target_y for t in tasks])
+
+
+# the op a primitive case checks, where the case has another name
+_CASE_OF_OP = {"grid_nll_loss": "grid_nll"}
+
+
+@pytest.mark.parametrize("model", [
+    ConvCNP(gamma=16.0), ConvCNP(dim_y=2, gamma=16.0), CNPBaseline(),
+    ConvCNPOnGrid(cnn=CnnSpec(channels=(3,))),
+], ids=["convcnp-eq", "convcnp-lv", "cnp", "ongrid"])
+def test_every_op_on_a_training_tape_has_a_primitive_case(model):
+    ops, seen, stack = set(), set(), [_training_tape(model)]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.add(node.op)
+            stack.extend(node._parents)
+    checked = {case.split("-")[0] for case in PRIMITIVE_OPS}
+    assert {_CASE_OF_OP.get(op, op) for op in ops} - {"const"} <= checked
 
 
 def test_shape_mismatch_names_op_and_shapes():

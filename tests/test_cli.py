@@ -404,6 +404,11 @@ class TestOtherCommands:
         assert main(["gradcheck", "--config", str(config)]) == 0
         assert "max relative error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", range(1, 20))  # seed 6 needs the roundoff allowance
+    def test_gradcheck_passes_at_other_seeds(self, tmp_path, seed):
+        config = write_config(tmp_path)
+        assert main(["gradcheck", "--config", str(config), "--seed", str(seed)]) == 0
+
     def test_equivariance_audit(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "eq"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from convcnp.autodiff import gaussian_ll
 from convcnp.kernels import DATA_KERNELS, EQ, Matern52, gram
-from convcnp.oracle import GPOracle, gaussian_ll, gp_posterior_predict, gp_task_ll
+from convcnp.oracle import GPOracle, gp_posterior_predict, gp_task_ll
 from convcnp.synthdata import ProcessSpec, Task, gp_sample, make_rng, sample_task
 from convcnp.training import evaluate, standard_error
 

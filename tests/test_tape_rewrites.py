@@ -1,4 +1,4 @@
-"""The cheap conv stack and the one-node losses against their direct forms.
+"""The cheap conv stack, the one-node losses and stages against their direct forms.
 
 Each rewrite must perform the same floating-point operations in the same
 order as the composition it replaces (``reference_tape.py``), so values and
@@ -11,7 +11,9 @@ import pytest
 import reference_tape as ref
 from convcnp import autodiff as ad
 from convcnp import models, training
+from convcnp.embedding import divide_by_density
 from convcnp.models import (
+    CNPBaseline,
     CnnSpec,
     ConvCNP,
     ConvCNPOnGrid,
@@ -21,7 +23,7 @@ from convcnp.models import (
     grid_nll_loss,
     nll_loss,
 )
-from convcnp.synthdata import ProcessSpec
+from convcnp.synthdata import ProcessSpec, sample_task
 
 
 def assert_bits_equal(a, b):
@@ -182,11 +184,17 @@ def _grid_batch_loss(model, batch, leaves, loss):
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("weight", [1.0, 0.3])  # the gradient the loss receives
 @pytest.mark.parametrize("n_images", [1, 4])
-def test_grid_nll_matches_the_four_node_chain(ndim, shape, channels, weight, n_images):
+def test_grid_nll_matches_the_four_node_chain(
+    ndim, shape, channels, weight, n_images, monkeypatch
+):
+    """The on-grid loss, and the density division of its encoder, against their chains."""
     model = _grid_model(channels, ndim)
     batch = _grid_examples(np.random.default_rng(ndim + 7 * channels), n_images, channels, shape)
     results = []
-    for loss in (models.grid_nll_loss, ref.grid_nll_loss):
+    for loss, divide in (
+        (models.grid_nll_loss, divide_by_density), (ref.grid_nll_loss, ref.divide_by_density)
+    ):
+        monkeypatch.setattr(models, "divide_by_density", divide)
         leaves = model.params.leaves()
         value = _grid_batch_loss(model, batch, leaves, loss)
         ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
@@ -233,6 +241,50 @@ def test_grid_loss_adds_one_tape_node_per_image():
     assert _tape_size(losses) == forward + len(batch)
 
 
+@pytest.mark.parametrize("shape", [(2, 9), (3, 9), (4, 3, 5)])
+def test_density_node_matches_the_five_node_chain(shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    x = rng.normal(size=shape)
+    x[0] = np.abs(x[0])
+    x[0, 1] = 0.0  # no context mass: the signal divides by DENSITY_EPS alone
+    g = rng.normal(size=shape)
+    g[:, 2] = -0.0  # an incoming -0.0 leaves as 0.0 in every row
+    got = _layer_grads(divide_by_density, [x], g)
+    want = _layer_grads(ref.divide_by_density, [x], g)
+    for a, b in zip((got[0], *got[1]), (want[0], *want[1]), strict=True):
+        assert_bits_equal(a, b)
+    channels = ad.Node(x, needs_grad=True)
+    assert _tape_size([divide_by_density(channels)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["eq", "lotka-volterra", "cnp"])
+@pytest.mark.parametrize("weight", [1.0, 0.3])  # the gradient the loss receives
+def test_off_grid_models_match_the_op_by_op_stages(kind, weight, monkeypatch):
+    """Density division and deviation floor against their chains, on three
+    tasks laid end to end with gap columns between their grids."""
+    dim_y = 2 if kind == "lotka-volterra" else 1
+    process = ProcessSpec.default_for("eq" if kind == "cnp" else kind)
+    tasks = [sample_task(process, seed) for seed in range(3)]
+    results = []
+    for divide, floor in (
+        (divide_by_density, models._floor_sigma), (ref.divide_by_density, ref.floor_sigma)
+    ):
+        monkeypatch.setattr(models, "divide_by_density", divide)
+        monkeypatch.setattr(models, "_floor_sigma", floor)
+        if kind == "cnp":
+            model = CNPBaseline(init_seed=1)
+        else:
+            model = ConvCNP(dim_y=dim_y, gamma=16.0, cnn=CnnSpec.small(dim_y), init_seed=4)
+        leaves = model.params.leaves()
+        preds = model.forward_many(tasks, leaves=leaves)
+        value = batch_nll(preds, [t.target_y for t in tasks])
+        ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
+        results.append([value.value] + [a for p in preds for a in (p.mu.value, p.sigma.value)]
+                       + [leaf.grad for leaf in leaves.values()])
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
+
+
 def test_cnn_forward_with_skips_matches_the_op_by_op_stack():
     spec = CnnSpec(channels=(3, 4, 4, 2), skips={3: (1, 2), 4: (1, 3)})
     model = ConvCNP(gamma=8.0, cnn=spec, init_seed=2)
@@ -275,6 +327,8 @@ def test_train_matches_the_op_by_op_composition(kind, monkeypatch):
         patch.setattr(ad, "concat", ref.concat)
         patch.setattr(models, "cnn_forward", ref.cnn_forward)
         patch.setattr(training, "batch_nll", ref.batch_nll)
+        patch.setattr(models, "divide_by_density", ref.divide_by_density)
+        patch.setattr(models, "_floor_sigma", ref.floor_sigma)
         want = _train_two_blocks(model(), process)
     assert store.step == want.step == 6
     for field in ("value", "m", "v"):
