@@ -23,18 +23,22 @@ class DiffError(ValueError):
     """Raised on shape mismatches, non-finite values, or invalid op arguments."""
 
 
+_RELEASED = object()  # the vjp of an interior node once backward has walked it
+
+
 class Node:
     """A value in the computation graph.
 
     A node takes a gradient when it is built with ``needs_grad=True`` (the
     parameter leaves of :meth:`ParameterStore.leaves`) or when any of its
     parents takes one.  Only such nodes keep their parents and their vjp,
-    ``vjp(g, i)``, which returns the gradient for ``parents[i]``.
+    ``vjp(g, i)``, which returns the gradient for ``parents[i]``, until
+    :func:`backward` has run that vjp and releases them and the gradient.
 
-    ``grad`` accumulates across backward passes; callers reset it explicitly
-    (``adam_step`` zeroes parameter gradients after each update).  It is
-    allocated only when first read or reached by backward, so nodes that backward never
-    reaches cost no buffer.
+    A leaf's ``grad`` accumulates across backward passes; callers reset it
+    explicitly (``adam_step`` zeroes parameter gradients after each update).
+    It is allocated only when first read or reached by backward, so nodes
+    that backward never reaches cost no buffer.  Every node keeps ``value``.
     """
 
     __slots__ = ("value", "op", "needs_grad", "_grad", "_parents", "_vjp")
@@ -52,6 +56,8 @@ class Node:
 
     @property
     def grad(self) -> np.ndarray:
+        if self._vjp is _RELEASED:
+            raise DiffError(f"op '{self.op}': backward released this node's gradient")
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
         return self._grad
@@ -191,6 +197,8 @@ def _pad(x, pad, mode, op):
 def _windows(xp, k, groups):
     """The window matrix (groups, C / groups * k, |S'|) of an input (C, *S) padded by
     (k - 1) / 2, along its last axis only: rows (channel, tap); S' keeps the padding."""
+    if k == 1:  # one tap: the window matrix is the input itself
+        return xp.reshape(groups, xp.shape[0] // groups, -1)
     # window-first view (channel, tap, *positions): the tap strides like the last axis
     shape = xp.shape[:1] + (k,) + xp.shape[1:-1] + (xp.shape[-1] - k + 1,)
     strides = xp.strides[:1] + xp.strides[-1:] + xp.strides[1:]
@@ -320,9 +328,11 @@ def conv2d(x: Node, w: Node, bias: Node | None = None, padding: str = "zeros",
 def backward(loss: Node) -> None:
     """Reverse accumulation from a scalar loss.
 
-    Gradients add into ``.grad``; calling twice without zeroing accumulates.
-    Nodes are visited once each, in reverse topological order, and a vjp
-    runs only for the parents that take a gradient.
+    Gradients add into the leaves' ``.grad``, across tapes that share them.
+    Nodes are visited once each, in reverse topological order, and a vjp runs
+    only for the parents that take a gradient.  A tape is walked once: each
+    interior node drops its parents, vjp and gradient once its vjps have run,
+    so a second backward over it, or reading its ``.grad``, is a DiffError.
     """
     if loss.value.size != 1:
         raise DiffError(f"backward: loss must be scalar, got shape {loss.value.shape}")
@@ -341,16 +351,21 @@ def backward(loss: Node) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _RELEASED:
+            raise DiffError(f"backward: op '{node.op}' is on a tape that backward already walked")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if parent.needs_grad and id(parent) not in seen:
                 stack.append((parent, False))
     _add_grad(loss, np.ones_like(loss.value))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         for i, parent in enumerate(node._parents):
             if parent.needs_grad:
                 _add_grad(parent, node._vjp(node._grad, i))
+        if node._parents:
+            node._parents, node._vjp, node._grad = (), _RELEASED, None
 
 
 def _add_grad(node: Node, g) -> None:

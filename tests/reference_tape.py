@@ -22,7 +22,9 @@ them bit for bit:
 forms were built from; the tests also use ``reduce_sum`` to make scalar losses.
 ``windows`` and ``one_gemm_conv`` are the conv's earlier lowering: a window
 matrix over every spatial axis, and one matmul each for the value and both
-vjps.  The 1-D conv must still match it bit for bit.
+vjps.  The 1-D conv must still match it bit for bit.  ``backward`` is the
+reverse walk that keeps the whole tape (``autodiff.backward`` releases each
+node once its vjps have run); both must give the same gradients bit for bit.
 """
 
 import numpy as np
@@ -190,3 +192,27 @@ def floor_sigma(sigma):
         ad.constant(np.asarray(SIGMA_FLOOR_WEIGHT * SIGMA_MIN)),
         ad.mul(ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)), sigma),
     )
+
+
+def backward(loss):
+    """Reverse accumulation that keeps every node's parents, vjp and gradient."""
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.needs_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    ad._add_grad(loss, np.ones_like(loss.value))
+    for node in reversed(order):
+        for i, parent in enumerate(node._parents):
+            if parent.needs_grad:
+                ad._add_grad(parent, node._vjp(node._grad, i))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -385,6 +386,58 @@ def test_two_backward_calls_accumulate_without_touching_the_first():
     ad.backward(reduce_sum(ad.mul(x, ad.constant(np.array([3.0, 5.0])))))
     np.testing.assert_array_equal(first, [2.0, -4.0])
     np.testing.assert_array_equal(x.grad, [5.0, 1.0])
+
+
+def test_a_walked_tape_refuses_a_second_backward():
+    x = ad.Node(np.array([1.0, -2.0]), needs_grad=True)
+    h = ad.softplus(x)
+    loss = reduce_sum(h)
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ad.DiffError, match="op 'sum'"):
+        ad.backward(loss)
+    # a new loss over a walked node reaches the walked tape too
+    with pytest.raises(ad.DiffError, match="op 'softplus'"):
+        ad.backward(reduce_sum(ad.mul(h, h)))
+    np.testing.assert_array_equal(x.grad, first)  # refused before any vjp ran
+
+
+def test_a_walked_node_refuses_its_grad():
+    x = ad.Node(np.array([1.0, -2.0]), needs_grad=True)
+    h = ad.softplus(x)
+    loss = reduce_sum(h)
+    ad.backward(loss)
+    with pytest.raises(ad.DiffError, match="op 'softplus'"):
+        h.grad
+    with pytest.raises(ad.DiffError, match="op 'sum'"):
+        loss.grad
+    # values stay, and the parents stay a tuple for code that counts a tape
+    np.testing.assert_array_equal(h.value, np.logaddexp(0.0, x.value))
+    assert h._parents == () and loss._parents == ()
+    np.testing.assert_array_equal(x.grad, 1.0 / (1.0 + np.exp(-x.value)))
+
+
+def test_backward_frees_the_tape_as_it_walks_it():
+    """One Lotka-Volterra training step of convcnp-small, four tasks at gamma
+    32, under tracemalloc: the walk's peak stays near the memory the forward
+    pass holds, and once backward returns only the leaves' gradients remain."""
+    model = ConvCNP(dim_y=2, gamma=32.0, init_seed=1)
+    process = ProcessSpec.default_for("lotka-volterra")
+    tasks = [sample_task(process, seed) for seed in range(1000, 1004)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        leaves = model.params.leaves()
+        loss = batch_nll(model.forward_many(tasks, leaves=leaves), [t.target_y for t in tasks])
+        forward = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(leaf.grad.nbytes for leaf in leaves.values())
+    assert held - grad_bytes < 2**20
+    assert peak < 1.6 * forward
 
 
 def test_constant_nodes_keep_no_parents():

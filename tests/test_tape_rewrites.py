@@ -59,9 +59,12 @@ def test_pad_matches_np_pad(rank, width, mode, contiguous):
 def test_windows_match_sliding_window_view(rank, width, groups, contiguous):
     xp = _inputs(np.random.default_rng(rank + 3 * width), rank, contiguous)
     k = 2 * width + 1
-    assert_bits_equal(ad._windows(xp, k, groups), ref.last_axis_windows(xp, k, groups))
-    if rank == 1:  # along the one axis, the window matrix over every axis
-        assert_bits_equal(ad._windows(xp, k, groups), ref.windows(xp, k, groups))
+    got = ad._windows(xp, k, groups)
+    assert_bits_equal(got, ref.last_axis_windows(xp, k, groups))
+    if rank == 1 or k == 1:  # along the one axis, or with one tap: the matrix over every axis
+        assert_bits_equal(got, ref.windows(xp, k, groups))
+    if k == 1 and contiguous:  # a 1x1 kernel's window matrix is its input, not a copy
+        assert np.shares_memory(got, xp)
 
 
 def _layer_grads(layer, arrays, g):
@@ -299,6 +302,38 @@ def test_cnn_forward_with_skips_matches_the_op_by_op_stack():
         out = forward(spec, signal, leaves, "cnn", mask=mask)
         ad.backward(ref.reduce_sum(ad.mul(out, out)))
         results.append([out.value, signal.grad] + [leaf.grad for leaf in leaves.values()])
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
+
+
+_STEP_MODELS = {  # name -> (model, process kind; None for 28x28 images)
+    "convcnp-small-eq": (lambda: ConvCNP(gamma=16.0, init_seed=4), "eq"),
+    "convcnp-small-lv": (lambda: ConvCNP(dim_y=2, gamma=16.0, init_seed=4), "lotka-volterra"),
+    "convcnp-xl-sawtooth": (lambda: ConvCNP(gamma=16.0, cnn=CnnSpec.xl(1), init_seed=4),
+                            "sawtooth"),
+    "cnp": (lambda: CNPBaseline(init_seed=1), "eq"),
+    "ongrid-2d": (lambda: ConvCNPOnGrid(channels=1, ndim=2, init_seed=3), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_STEP_MODELS))
+def test_freeing_walk_matches_the_keep_everything_walk(case):
+    """One training step of four tasks or images: ``backward``, which frees
+    the tape as it walks it, against the walk that keeps every node."""
+    build, kind = _STEP_MODELS[case]
+    model = build()
+    results = []
+    for walk in (ad.backward, ref.backward):
+        leaves = model.params.leaves()
+        if kind is None:
+            batch = _grid_examples(np.random.default_rng(5), 4, 1, (28, 28))
+            loss = _grid_batch_loss(model, batch, leaves, models.grid_nll_loss)
+        else:
+            tasks = [sample_task(ProcessSpec.default_for(kind), seed) for seed in range(4)]
+            loss = batch_nll(model.forward_many(tasks, leaves=leaves), [t.target_y for t in tasks])
+        walk(loss)
+        results.append([loss.value] + [leaf.grad for leaf in leaves.values()])
+    assert len(results[0]) == len(model.params.items()) + 1
     for a, b in zip(*results, strict=True):
         assert_bits_equal(a, b)
 
