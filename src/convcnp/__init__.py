@@ -17,7 +17,7 @@ from .models import (
     CnnSpec,
     ConvCNP,
     ConvCNPOnGrid,
-    PredictiveDistribution,
+    Predictive,
     nll_loss,
 )
 from .oracle import GPOracle, gp_posterior_predict

@@ -58,26 +58,47 @@ def context_order(context_x, context_y) -> np.ndarray:
     return np.lexsort((*context_y.T[::-1], context_x))
 
 
-def embed(context_x, context_y, grid: UniformGrid, log_length_scale: ad.Node) -> ad.Node:
+def embed(context_x, context_y, grid: UniformGrid, log_length_scale):
     """Smooth the features phi(y) = [1, y] of a context set onto the grid.
 
     Returns the (1 + dim_y, T) channels, channel 0 the density:
-    channels[:, i] = sum_n phi(y_n) * psi(t_i - x_n), differentiable in the
-    smoothing kernel's log length scale.  Context points are accumulated
-    in :func:`context_order`.
+    channels[:, i] = sum_n phi(y_n) * psi(t_i - x_n), and their vjp, a function
+    from a gradient of the channels to the gradient of the smoothing kernel's
+    log length scale; an empty context gives zeros and no vjp.  Context points
+    are accumulated in :func:`context_order`.
     """
     context_x = np.atleast_1d(np.asarray(context_x, float))
     context_y = np.asarray(context_y, float)
     if context_y.ndim == 1:
         context_y = context_y[:, None]
     if context_x.size == 0:
-        return ad.constant(np.zeros((1 + context_y.shape[1], grid.n_points)))
+        return np.zeros((1 + context_y.shape[1], grid.n_points)), None
 
     order = context_order(context_x, context_y)
     context_y = context_y[order]
-    psi = learnable_psi_eval(log_length_scale, grid, context_x[order], grid_axis=1)  # (N, T)
+    psi, psi_vjp = learnable_psi_eval(log_length_scale, grid, context_x[order], grid_axis=1)
     phi = np.concatenate([np.ones((1, len(context_y))), context_y.T])  # (1 + dim_y, N)
-    return ad.matmul(ad.constant(phi), psi)
+    return phi @ psi, lambda g: psi_vjp(phi.T @ g)
+
+
+def encode(contexts, grids, cols, log_length_scale: ad.Node) -> ad.Node:
+    """Every task's :func:`embed` on one (1 + dim_y, L) signal, as one tape node.
+
+    ``contexts`` holds (context_x, context_y) pairs, and task k's grid fills the
+    columns ``cols[k]``; the others stay zero.  The vjp runs each task's embed
+    vjp on its columns of the gradient and adds the results in task order.
+    """
+    pieces = [embed(x, y, grid, log_length_scale.value) for (x, y), grid in zip(contexts, grids)]
+    value = np.zeros((len(pieces[0][0]), cols[-1].stop))
+    for (piece, _), c in zip(pieces, cols):
+        value[:, c] = piece
+    vjps = [(piece_vjp, c) for (_, piece_vjp), c in zip(pieces, cols) if piece_vjp]
+
+    def vjp(g, i):
+        grads = [piece_vjp(g[:, c]) for piece_vjp, c in vjps]
+        return sum(grads[1:], grads[0])
+
+    return ad.Node(value, (log_length_scale,) if vjps else (), vjp, op="encode")
 
 
 def divide_by_density(channels: ad.Node) -> ad.Node:

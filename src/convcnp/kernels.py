@@ -99,19 +99,22 @@ def init_log_length_scale(gamma: float) -> float:
 UNDERFLOW_REACH = np.sqrt(2.0 * 746.0)
 
 
-def learnable_psi_eval(log_length_scale: ad.Node, grid, xs, grid_axis: int) -> ad.Node:
-    """Differentiable EQ weights exp(-0.5 (d / l)^2), l = exp(log_length_scale), between
-    a uniform grid's points and the inputs ``xs``: (T, M) if ``grid_axis`` is 0, else (M, T).
+def learnable_psi_eval(log_length_scale, grid, xs, grid_axis: int):
+    """EQ weights exp(-0.5 (d / l)^2), l = exp(log_length_scale), between a uniform
+    grid's points and the inputs ``xs``: (T, M) if ``grid_axis`` is 0, else (M, T).
+
+    Returns the weights and their vjp: a function from a gradient of the weights
+    to the gradient of the log length scale.
 
     exp is taken only on each input's window of grid points: those within
     UNDERFLOW_REACH length scales, found by index arithmetic, with one point of
     slack each side.  The other entries stay 0, as exp gives.  A window over 3/4
-    of the grid evaluates every entry.  One tape node; gradient flows to the log
-    length scale.
+    of the grid evaluates every entry.  The stage nodes ``embedding.encode`` and
+    ``models.decode`` call this for their bases.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
-    inv_l2 = np.exp(log_length_scale.value * -2.0)  # 1 / l^2
-    reach = np.ceil(UNDERFLOW_REACH * np.exp(log_length_scale.value) / grid.spacing) + 1.0
+    inv_l2 = np.exp(log_length_scale * -2.0)  # 1 / l^2
+    reach = np.ceil(UNDERFLOW_REACH * np.exp(log_length_scale) / grid.spacing) + 1.0
     index = None  # flat positions of the evaluated entries; None when all are
     if 2.0 * reach + 1.0 <= 0.75 * grid.n_points:
         steps = np.arange(int(2.0 * reach + 1.0))
@@ -131,8 +134,8 @@ def learnable_psi_eval(log_length_scale: ad.Node, grid, xs, grid_axis: int) -> a
         psi = np.zeros((grid.n_points, xs.size) if grid_axis == 0 else (xs.size, grid.n_points))
         psi.ravel()[index.ravel()] = values.ravel()  # a view: psi is contiguous
 
-    def vjp(g, i):
+    def vjp(g):
         g = g if index is None else g.take(index)
         return ((np.sum(g * values * d2) * -0.5) * inv_l2) * -2.0
 
-    return ad.Node(psi, (log_length_scale,), vjp, op="psi")
+    return psi, vjp

@@ -2,7 +2,10 @@
 
 All models output factorized Gaussian predictive distributions and are
 differentiable end-to-end through the autodiff engine, so one NLL
-backward pass trains any of them.
+backward pass trains any of them.  The off-grid models predict a batch as
+one :class:`Predictive`; the ConvCNP builds it from three stage nodes,
+:func:`~convcnp.embedding.encode`, the CNN and :func:`decode`, so its tape
+does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .embedding import context_order, divide_by_density, embed, make_grid
+from .embedding import context_order, divide_by_density, encode, make_grid
 from .kernels import init_log_length_scale, learnable_psi_eval
 from .synthdata import Task, make_rng
 
@@ -21,11 +24,15 @@ SIGMA_FLOOR_WEIGHT = 0.1  # sigma_post = 0.1 * sigma_min + 0.9 * raw
 KERNEL_SIZE = 5  # taps per axis of every conv kernel that is not 1x1
 
 
+def _floor(raw):
+    """Mix a raw deviation array with SIGMA_MIN so it stays above 0.1 * SIGMA_MIN."""
+    return SIGMA_FLOOR_WEIGHT * SIGMA_MIN + (1.0 - SIGMA_FLOOR_WEIGHT) * raw
+
+
 def _floor_sigma(sigma: ad.Node) -> ad.Node:
-    """Mix the raw deviation with SIGMA_MIN so it stays above 0.1 * SIGMA_MIN, as one node."""
+    """:func:`_floor` as one node."""
     scale = 1.0 - SIGMA_FLOOR_WEIGHT
-    return ad.Node(SIGMA_FLOOR_WEIGHT * SIGMA_MIN + scale * sigma.value, (sigma,),
-                   lambda g, i: g * scale, op="floor_sigma")
+    return ad.Node(_floor(sigma.value), (sigma,), lambda g, i: g * scale, op="floor_sigma")
 
 
 @dataclass(frozen=True)
@@ -113,15 +120,27 @@ def cnn_forward(
 
 
 @dataclass
-class PredictiveDistribution:
-    """Per-target Gaussian mean and standard deviation, kept as graph nodes."""
+class Predictive:
+    """Per-target Gaussian means and deviations of a batch of tasks, as graph nodes.
 
-    mu: ad.Node  # (dim_y, M)
-    sigma: ad.Node  # (dim_y, M)
+    ``mu`` and ``sigma`` are (dim_y, sum M) nodes with the tasks' targets laid
+    end to end: task k's are the columns ``offsets[k]:offsets[k + 1]``.
+    """
+
+    mu: ad.Node
+    sigma: ad.Node
+    offsets: tuple  # B + 1 column boundaries, from 0 to sum M
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def task(self, k: int) -> slice:
+        """Task k's columns of ``mu`` and ``sigma``, and its rows of ``mean`` and ``std``."""
+        return slice(self.offsets[k], self.offsets[k + 1])
 
     @property
     def mean(self) -> np.ndarray:
-        """(M, dim_y) array of predictive means."""
+        """(sum M, dim_y) array of predictive means."""
         return self.mu.value.T.copy()
 
     @property
@@ -129,53 +148,99 @@ class PredictiveDistribution:
         return self.sigma.value.T.copy()
 
 
-def _target_rows(pred: PredictiveDistribution, target_y) -> np.ndarray:
-    """(M,) or (M, dim_y) targets in the (dim_y, M) layout of ``pred``."""
+def _offsets(sizes) -> tuple:
+    return tuple(np.cumsum([0, *sizes]).tolist())
+
+
+def _target_rows(target_y, shape) -> np.ndarray:
+    """(M,) or (M, dim_y) targets in the (dim_y, M) layout of predictions of ``shape``."""
     target_y = np.asarray(target_y, float)
     if target_y.ndim == 1:
         target_y = target_y[:, None]
-    if target_y.T.shape != pred.mu.value.shape:
-        raise ad.DiffError(
-            f"targets {target_y.shape} do not fit predictions {pred.mu.value.shape}"
-        )
+    if target_y.T.shape != shape:
+        raise ad.DiffError(f"targets {target_y.shape} do not fit predictions {shape}")
     return target_y.T
 
 
-def batch_nll(preds, targets) -> ad.Node:
+def batch_nll(pred: Predictive, targets) -> ad.Node:
     """Mean over tasks of each task's negative mean target log density.
 
-    One node whose parents are every prediction's ``mu`` and ``sigma``.  The
-    value sums the per-task terms in task order, then scales by 1 / B.
+    One node whose parents are ``pred.mu`` and ``pred.sigma``.  The value sums
+    the per-task terms in task order, then scales by 1 / B.
     """
-    ys = [_target_rows(pred, y) for pred, y in zip(preds, targets, strict=True)]
+    mu, sigma = pred.mu.value, pred.sigma.value
+    cols = [pred.task(k) for k in range(len(pred))]
+    ys = [_target_rows(y, mu[:, c].shape) for y, c in zip(targets, cols, strict=True)]
     if not ys or min(y.size for y in ys) == 0:
         raise ad.DiffError("batch_nll: empty batch or target set")
-    terms = [-ad.gaussian_ll(y, p.mu.value, p.sigma.value).mean() for p, y in zip(preds, ys)]
+    terms = [-ad.gaussian_ll(y, mu[:, c], sigma[:, c]).mean() for y, c in zip(ys, cols)]
     scale = 1.0 / len(ys)
 
-    def vjp(g, i):  # ((g / B) * -1 / M) times d log N / d mu (or d sigma), elementwise
-        p, y = preds[i // 2], ys[i // 2]
-        return ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, p.mu.value, p.sigma.value, i % 2)
+    def vjp(g, i):  # ((g / B) * -1 / M) times d log N / d mu (or d sigma), task by task
+        return np.concatenate([
+            ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, mu[:, c], sigma[:, c], i)
+            for y, c in zip(ys, cols)
+        ], axis=1)
 
-    parents = [node for pred in preds for node in (pred.mu, pred.sigma)]
-    return ad.Node(sum(terms[1:], terms[0]) * scale, parents, vjp, op="batch_nll")
-
-
-def nll_loss(pred: PredictiveDistribution, target_y) -> ad.Node:
-    """Negative mean Gaussian log density of the targets under ``pred``."""
-    return batch_nll([pred], [target_y])
+    return ad.Node(sum(terms[1:], terms[0]) * scale, (pred.mu, pred.sigma), vjp, op="batch_nll")
 
 
-def log_likelihood_per_point(pred: PredictiveDistribution, target_y) -> float:
-    """Mean Gaussian log density per target point, from the predicted arrays.
+def nll_loss(pred: Predictive, target_y) -> ad.Node:
+    """Negative mean Gaussian log density of the targets under a one-task ``pred``."""
+    return batch_nll(pred, [target_y])
 
-    Raises DiffError where ``nll_loss`` does: on targets that do not fit
-    ``pred``, a non-positive sigma or a log density that is not finite.
+
+def task_log_likelihood(pred: Predictive, k: int, target_y) -> float:
+    """Mean Gaussian log density per target point of task k, from the predicted arrays.
+
+    Raises DiffError where ``batch_nll`` does: on targets that do not fit the
+    task's predictions, a non-positive sigma or a log density that is not finite.
     """
-    lp = ad.gaussian_ll(_target_rows(pred, target_y), pred.mu.value, pred.sigma.value)
+    mu, sigma = pred.mu.value[:, pred.task(k)], pred.sigma.value[:, pred.task(k)]
+    lp = ad.gaussian_ll(_target_rows(target_y, mu.shape), mu, sigma)
     if not np.all(np.isfinite(lp)):
-        raise ad.DiffError("log_likelihood_per_point: non-finite log density")
+        raise ad.DiffError("non-finite log density")
     return float(lp.mean())
+
+
+def decode(h: ad.Node, grids, cols, target_xs, log_length_scale: ad.Node,
+           dim_y: int) -> Predictive:
+    """Each task's EQ-basis readout from its columns ``cols[k]`` of ``h``, as one node.
+
+    ``h`` holds dim_y mean channels, then dim_y that softplus makes positive;
+    the deviations are floored after the readout.  The node stacks the means
+    over the deviations, and a ``narrow`` hands each half to the ``Predictive``.
+    The vjp adds the tasks' log-length-scale gradients in task order, and 0.0
+    to the gradient of ``h``, as the narrows that took each task's columns did.
+    """
+    f_mu, pre = h.value[:dim_y], h.value[dim_y:]
+    with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709: sigmoid 0
+        sig = 1.0 / (1.0 + np.exp(-pre))
+    f_sigma = np.logaddexp(0.0, pre)
+    bases = [learnable_psi_eval(log_length_scale.value, grid, x, grid_axis=0)
+             for grid, x in zip(grids, target_xs)]
+    offsets = _offsets(basis.shape[1] for basis, _ in bases)
+    targets = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    value = np.concatenate([
+        np.hstack([f_mu[:, c] @ basis for c, (basis, _) in zip(cols, bases)]),
+        np.hstack([_floor(f_sigma[:, c] @ basis) for c, (basis, _) in zip(cols, bases)]),
+    ])
+
+    def vjp(g, i):  # per task, the floor's vjp and then the two matmuls'
+        tasks = [(c, basis, basis_vjp, g[:dim_y, t], g[dim_y:, t] * (1.0 - SIGMA_FLOOR_WEIGHT))
+                 for c, (basis, basis_vjp), t in zip(cols, bases, targets)]
+        if i == 1:
+            grads = [basis_vjp(f_mu[:, c].T @ g_mu + f_sigma[:, c].T @ g_sigma)
+                     for c, _, basis_vjp, g_mu, g_sigma in tasks]
+            return sum(grads[1:], grads[0])
+        dh = np.zeros_like(h.value)
+        for c, basis, _, g_mu, g_sigma in tasks:
+            dh[:dim_y, c], dh[dim_y:, c] = g_mu @ basis.T, g_sigma @ basis.T
+        dh[dim_y:] *= sig  # the softplus's vjp
+        return dh + 0.0
+
+    out = ad.Node(value, (h, log_length_scale), vjp, op="decode")
+    return Predictive(ad.narrow(out, 0, 0, dim_y), ad.narrow(out, 0, dim_y, dim_y), offsets)
 
 
 class ConvCNP:
@@ -201,21 +266,21 @@ class ConvCNP:
         # The CNN's receptive-field half-width in input units, so boundary
         # effects stay outside the data range.
         self.margin = self.cnn.receptive_field_steps() / self.gamma
-        self.in_channels = 1 + dim_y
 
         params = {
             "encoder.log_length_scale": init_log_length_scale(self.gamma),
             "readout.log_length_scale": init_log_length_scale(self.gamma),
         }
         rng = make_rng(init_seed, 0xC0)
-        _init_cnn_params(params, "cnn", self.cnn, self.in_channels, rng, ndim=1)
+        _init_cnn_params(params, "cnn", self.cnn, 1 + dim_y, rng, ndim=1)
         self.params = ad.ParameterStore(params)
 
-    def forward(self, task: Task, leaves=None) -> PredictiveDistribution:
-        return self.forward_many([task], leaves)[0]
+    def forward(self, task: Task, leaves=None) -> Predictive:
+        return self.forward_many([task], leaves)
 
-    def forward_many(self, tasks, leaves=None) -> list:
-        """One predictive distribution per task, from one run of the CNN.
+    def forward_many(self, tasks, leaves=None) -> Predictive:
+        """One predictive for the batch, from the three stages: :func:`encode`,
+        the CNN and :func:`decode`.
 
         Each task keeps its own anchored grid.  The grids are laid end to end
         along one (C, L) signal, with (k - 1) / 2 zero columns between
@@ -228,35 +293,17 @@ class ConvCNP:
         if leaves is None:
             leaves = self.params.constants()
         grids = [make_grid(t.context_x, t.target_x, self.gamma, self.margin) for t in tasks]
-        pieces = [
-            embed(t.context_x, t.context_y, grid, leaves["encoder.log_length_scale"])
-            for t, grid in zip(tasks, grids)
-        ]
-        gap = (KERNEL_SIZE - 1) // 2
-        sizes = [grid.n_points for grid in grids]
-        starts = np.cumsum([0] + [n + gap for n in sizes[:-1]])
-        signal, mask = pieces[0], None
-        if len(tasks) > 1:
-            zeros = ad.constant(np.zeros((self.in_channels, gap)))
-            signal = ad.concat([p for piece in pieces for p in (zeros, piece)][1:], axis=1)
-            mask = np.zeros((1, starts[-1] + sizes[-1]))
-            for start, n in zip(starts, sizes):
-                mask[:, start : start + n] = 1.0
+        starts = np.cumsum([0] + [grid.n_points + (KERNEL_SIZE - 1) // 2 for grid in grids])
+        cols = [slice(start, start + grid.n_points) for start, grid in zip(starts, grids)]
+        signal = encode([(t.context_x, t.context_y) for t in tasks], grids, cols,
+                        leaves["encoder.log_length_scale"])
+        mask = np.zeros((1, cols[-1].stop))
+        for c in cols:
+            mask[:, c] = 1.0
         # the division is elementwise, and a gap's 0 / eps stays 0
-        signal = divide_by_density(signal)
-        h = cnn_forward(self.cnn, signal, leaves, "cnn", mask=mask)
-        f_mu = ad.narrow(h, 0, 0, self.dim_y)
-        f_sigma = ad.softplus(ad.narrow(h, 0, self.dim_y, self.dim_y))
-
-        preds = []
-        for task, grid, start in zip(tasks, grids, starts):
-            basis = learnable_psi_eval(
-                leaves["readout.log_length_scale"], grid, task.target_x, grid_axis=0
-            )
-            mu = ad.matmul(ad.narrow(f_mu, 1, start, grid.n_points), basis)
-            sigma = _floor_sigma(ad.matmul(ad.narrow(f_sigma, 1, start, grid.n_points), basis))
-            preds.append(PredictiveDistribution(mu=mu, sigma=sigma))
-        return preds
+        h = cnn_forward(self.cnn, divide_by_density(signal), leaves, "cnn", mask=mask)
+        return decode(h, grids, cols, [t.target_x for t in tasks],
+                      leaves["readout.log_length_scale"], self.dim_y)
 
 
 class CNPBaseline:
@@ -294,11 +341,11 @@ class CNPBaseline:
                 h = ad.relu(h)
         return h
 
-    def forward(self, task: Task, leaves=None) -> PredictiveDistribution:
-        return self.forward_many([task], leaves)[0]
+    def forward(self, task: Task, leaves=None) -> Predictive:
+        return self.forward_many([task], leaves)
 
-    def forward_many(self, tasks, leaves=None) -> list:
-        """One predictive distribution per task, from one encoder and one decoder pass.
+    def forward_many(self, tasks, leaves=None) -> Predictive:
+        """One predictive for the batch, from one encoder and one decoder pass.
 
         All context points go through the encoder together, each task's in
         ``context_order``, so pooling is exactly permutation invariant.  A
@@ -333,13 +380,7 @@ class CNPBaseline:
         out = self._mlp("dec", dec_in, leaves)
         mu = ad.narrow(out, 0, 0, self.dim_y)
         sigma = _floor_sigma(ad.softplus(ad.narrow(out, 0, self.dim_y, self.dim_y)))
-        starts = np.cumsum([0] + n_tgt[:-1])
-        return [
-            PredictiveDistribution(
-                mu=ad.narrow(mu, 1, start, m), sigma=ad.narrow(sigma, 1, start, m)
-            )
-            for start, m in zip(starts, n_tgt)
-        ]
+        return Predictive(mu, sigma, _offsets(n_tgt))
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 
 from .autodiff import constant
 from .kernels import cholesky_with_jitter, gram
-from .models import PredictiveDistribution, log_likelihood_per_point
+from .models import Predictive, _offsets, task_log_likelihood
 
 VARIANCE_CLAMP = 1e-12
 
@@ -36,7 +36,7 @@ def gp_posterior_predict(kernel, context_x, context_y, xs):
 
 def gp_task_ll(kernel, task) -> float:
     """Mean log density of a task's targets under the exact posterior."""
-    return log_likelihood_per_point(GPOracle(kernel).forward_many([task])[0], task.target_y)
+    return task_log_likelihood(GPOracle(kernel).forward_many([task]), 0, task.target_y)
 
 
 class GPOracle:
@@ -45,10 +45,11 @@ class GPOracle:
     def __init__(self, kernel):
         self.kernel = kernel
 
-    def forward_many(self, tasks) -> list:
-        """One constant (1, M) prediction per task."""
-        preds = []
-        for t in tasks:
-            mean, std = gp_posterior_predict(self.kernel, t.context_x, t.context_y[:, 0], t.target_x)
-            preds.append(PredictiveDistribution(constant(mean[None]), constant(std[None])))
-        return preds
+    def forward_many(self, tasks) -> Predictive:
+        """One constant prediction for the batch, (1, sum M)."""
+        means, stds = zip(*(
+            gp_posterior_predict(self.kernel, t.context_x, t.context_y[:, 0], t.target_x)
+            for t in tasks
+        ))
+        return Predictive(constant(np.concatenate(means)[None]),
+                          constant(np.concatenate(stds)[None]), _offsets(map(len, means)))

@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .models import batch_nll, log_likelihood_per_point, nll_loss
+from .models import batch_nll, nll_loss, task_log_likelihood
 from .synthdata import ProcessSpec, check_settings, sample_task
 
 
@@ -92,16 +92,22 @@ def evaluate(model, tasks) -> EvalSummary:
     """Per-task mean target log likelihood and mean prediction error.
 
     Tasks go through ``forward_many`` in chunks, without parameter leaves,
-    so no tape is kept.
+    so no tape is kept.  A task that cannot be scored raises a DiffError
+    naming its index and seed.
     """
     if not tasks:
         raise ValueError("evaluate: no tasks")
     lls, mses = [], []
     for i in range(0, len(tasks), _EVAL_CHUNK):
         chunk = tasks[i : i + _EVAL_CHUNK]
-        for task, pred in zip(chunk, model.forward_many(chunk)):
-            lls.append(log_likelihood_per_point(pred, task.target_y))
-            mses.append(float(np.mean((pred.mean - task.target_y) ** 2)))
+        pred = model.forward_many(chunk)
+        mean = pred.mean
+        for k, task in enumerate(chunk):
+            try:
+                lls.append(task_log_likelihood(pred, k, task.target_y))
+            except ad.DiffError as err:
+                raise ad.DiffError(f"evaluate: task {i + k} (seed {task.seed}): {err}") from err
+            mses.append(float(np.mean((mean[pred.task(k)] - task.target_y) ** 2)))
     lls = np.asarray(lls)
     mses = np.asarray(mses)
     return EvalSummary(
@@ -141,8 +147,8 @@ def train(model, config: TrainConfig, process: ProcessSpec):
             counter += config.batch_size
             leaves = store.leaves()
             try:
-                preds = model.forward_many(tasks, leaves=leaves)
-                batch_loss = batch_nll(preds, [t.target_y for t in tasks])
+                pred = model.forward_many(tasks, leaves=leaves)
+                batch_loss = batch_nll(pred, [t.target_y for t in tasks])
             except ad.DiffError as err:
                 _raise_naming_task(model, tasks, epoch, err)
             ad.backward(batch_loss)

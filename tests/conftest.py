@@ -3,15 +3,14 @@ import pytest
 
 from convcnp import autodiff as ad
 from convcnp import models
-from convcnp.embedding import UniformGrid, divide_by_density
-from convcnp.kernels import learnable_psi_eval
-from convcnp.models import GridPredictive, PredictiveDistribution, batch_nll, grid_nll_loss
+from convcnp.embedding import UniformGrid, divide_by_density, encode
+from convcnp.models import GridPredictive, Predictive, batch_nll, decode, grid_nll_loss
 from reference_tape import reduce_sum
 
 
 PRIMITIVE_OPS = [
     "add", "add-broadcast", "mul", "matmul", "conv1d", "conv2d", "relu",
-    "softplus", "psi", "abs", "concat", "narrow", "divide_by_density", "floor_sigma",
+    "softplus", "encode", "decode", "abs", "concat", "narrow", "divide_by_density", "floor_sigma",
     "conv1d-circular", "conv2d-circular",
     "conv1d-depthwise", "conv2d-depthwise", "conv1d-relu-mask",
     "conv2d-separable-relu", "batch_nll", "grid_nll",
@@ -73,18 +72,37 @@ def primitive_case(op: str, seed: int):
         fn = {"relu": ad.relu, "softplus": ad.softplus, "abs": ad.absolute}[op]
         weights = smooth((3, 4))
         builder = lambda lv: reduce_sum(ad.mul(fn(lv["x"]), ad.constant(weights)))
-    elif op == "psi":
-        # the readout's shape: grid features times the (T, M) basis, on a grid
-        # over twice as long as each input's window (l < 0.019: at most 145 points).
-        # Small features keep the loss small, and with it the central difference's
-        # roundoff against the 1e-10 gradients of features in the windows' tails.
-        grid = UniformGrid(lower=-1.5, spacing=0.01, n_points=300)
+    elif op in ("encode", "decode"):
+        # three tasks on grids over twice as long as each input's window
+        # (l < 0.019: at most 145 points), laid out with gaps; the second has no
+        # context.  Small features keep the loss small, and with it the central
+        # difference's roundoff against the 1e-10 gradients in the windows' tails.
+        grids = [UniformGrid(lower=-1.5 + k, spacing=0.01, n_points=300 - 20 * k)
+                 for k in range(3)]
+        cols = [slice(start, start + grid.n_points) for start, grid in zip((0, 302, 584), grids)]
         log_l = np.log(0.01) + 0.4 * smooth(())
-        store = ad.ParameterStore({"f": 1e-3 * smooth((2, grid.n_points)), "log_l": log_l})
-        xs = rng.uniform(-1.7, 1.7, size=4)
-        builder = lambda lv: reduce_sum(
-            ad.matmul(lv["f"], learnable_psi_eval(lv["log_l"], grid, xs, 0))
-        )
+        xs = [rng.uniform(-1.7, 1.7, size=n) + k for k, n in enumerate((4, 3, 5))]
+        if op == "encode":
+            ys = [1e-3 * smooth((len(x), 2)) for x in xs]
+            contexts = [(x, y) for x, y in zip(xs, ys)]
+            contexts[1] = (xs[1][:0], ys[1][:0])
+            store = ad.ParameterStore({"log_l": log_l})
+            weights = smooth((3, cols[-1].stop))
+            builder = lambda lv: reduce_sum(
+                ad.mul(encode(contexts, grids, cols, lv["log_l"]), ad.constant(weights))
+            )
+        else:
+            h = 1e-3 * smooth((4, cols[-1].stop))
+            store = ad.ParameterStore({"h": h, "log_l": log_l})
+            # the deviations sit near softplus(0) times the basis mass: small
+            # weights keep their terms, and so the loss, small
+            weights = [smooth((2, sum(map(len, xs)))) for _ in range(2)]
+            weights[1] *= 1e-3
+
+            def builder(lv):
+                pred = decode(lv["h"], grids, cols, xs, lv["log_l"], 2)
+                return reduce_sum(ad.add(ad.mul(pred.mu, ad.constant(weights[0])),
+                                         ad.mul(pred.sigma, ad.constant(weights[1]))))
     elif op == "conv1d-relu-mask":
         # a hidden layer of the batched ConvCNP: conv, bias, ReLU and column
         # mask in one node
@@ -115,20 +133,14 @@ def primitive_case(op: str, seed: int):
             ad.mul(ad.concat([lv["a"], lv["b"]], axis=0), ad.constant(weights))
         )
     elif op == "batch_nll":
-        # three tasks with different target counts, the second with two outputs
-        shapes = [(1, 3), (2, 4), (1, 2)]
-        ys = [smooth(shape).T for shape in shapes]
-        store = ad.ParameterStore({
-            f"{name}{k}": smooth(shape) for k, shape in enumerate(shapes)
-            for name in ("mu", "logsig")
-        })
-
-        def builder(lv):
-            preds = [
-                PredictiveDistribution(lv[f"mu{k}"], ad.softplus(lv[f"logsig{k}"]))
-                for k in range(len(ys))
-            ]
-            return batch_nll(preds, ys)
+        # three tasks of two outputs with different target counts
+        sizes = [3, 4, 2]
+        ys = [smooth((m, 2)) for m in sizes]
+        offsets = tuple(np.cumsum([0] + sizes).tolist())
+        store = ad.ParameterStore({"mu": smooth((2, 9)), "logsig": smooth((2, 9))})
+        builder = lambda lv: batch_nll(
+            Predictive(lv["mu"], ad.softplus(lv["logsig"]), offsets), ys
+        )
     elif op == "grid_nll":
         # a 2-D image of two channels under a mixed target mask; squared, so the
         # loss's vjp receives a gradient other than 1

@@ -1,6 +1,6 @@
 """Reference tape compositions: the conv stack, the losses and the model stages op by op.
 
-These are the direct forms of seven rewrites in ``convcnp``, which must match
+These are the direct forms of eight rewrites in ``convcnp``, which must match
 them bit for bit:
 
 - padding with ``np.pad`` in both modes, and the last-axis window matrix
@@ -16,7 +16,13 @@ them bit for bit:
 - the density division as two ``narrow``s, an ``add`` of DENSITY_EPS, a
   ``div`` and a ``concat`` (``embedding.divide_by_density``);
 - the deviation floor as a ``mul`` and an ``add`` of two constants
-  (``models._floor_sigma``).
+  (``models._floor_sigma``);
+- the off-grid models task by task, with one ``PredictiveDistribution`` per
+  task: the ConvCNP's ``psi`` and ``matmul`` nodes per task for the embedding,
+  its ``concat`` with gap constants, and ``narrow``, ``psi``, ``matmul`` and
+  ``floor_sigma`` nodes per task for the readout; the CNP's two ``narrow``s per
+  task; and the loss over the list (``embedding.encode``, ``models.decode``,
+  ``ConvCNP.forward_many``, ``CNPBaseline.forward_many``, ``models.batch_nll``).
 
 ``reduce_sum``, ``gaussian_log_pdf`` and ``div`` are the primitives those
 forms were built from; the tests also use ``reduce_sum`` to make scalar losses.
@@ -27,11 +33,15 @@ reverse walk that keeps the whole tape (``autodiff.backward`` releases each
 node once its vjps have run); both must give the same gradients bit for bit.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from convcnp import autodiff as ad
-from convcnp.embedding import DENSITY_EPS
-from convcnp.models import SIGMA_FLOOR_WEIGHT, SIGMA_MIN, _target_rows
+from convcnp import embedding, models
+from convcnp.embedding import DENSITY_EPS, context_order, make_grid
+from convcnp.kernels import learnable_psi_eval
+from convcnp.models import KERNEL_SIZE, SIGMA_FLOOR_WEIGHT, SIGMA_MIN, Predictive
 
 
 def pad(x, width, mode, op="conv"):
@@ -135,6 +145,170 @@ def reduce_mean(x):
     )
 
 
+@dataclass
+class PredictiveDistribution:
+    """One task's Gaussian mean and standard deviation, as graph nodes."""
+
+    mu: ad.Node  # (dim_y, M)
+    sigma: ad.Node  # (dim_y, M)
+
+    @property
+    def mean(self):
+        return self.mu.value.T.copy()
+
+    @property
+    def std(self):
+        return self.sigma.value.T.copy()
+
+
+def _target_rows(pred, target_y):
+    target_y = np.asarray(target_y, float)
+    if target_y.ndim == 1:
+        target_y = target_y[:, None]
+    if target_y.T.shape != pred.mu.value.shape:
+        raise ad.DiffError(
+            f"targets {target_y.shape} do not fit predictions {pred.mu.value.shape}"
+        )
+    return target_y.T
+
+
+def per_task_batch_nll(preds, targets):
+    """The batch loss as one node over every task's ``mu`` and ``sigma``."""
+    ys = [_target_rows(pred, y) for pred, y in zip(preds, targets, strict=True)]
+    if not ys or min(y.size for y in ys) == 0:
+        raise ad.DiffError("batch_nll: empty batch or target set")
+    terms = [-ad.gaussian_ll(y, p.mu.value, p.sigma.value).mean() for p, y in zip(preds, ys)]
+    scale = 1.0 / len(ys)
+
+    def vjp(g, i):
+        p, y = preds[i // 2], ys[i // 2]
+        return ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, p.mu.value, p.sigma.value, i % 2)
+
+    parents = [node for pred in preds for node in (pred.mu, pred.sigma)]
+    return ad.Node(sum(terms[1:], terms[0]) * scale, parents, vjp, op="batch_nll")
+
+
+def log_likelihood_per_point(pred, target_y):
+    lp = ad.gaussian_ll(_target_rows(pred, target_y), pred.mu.value, pred.sigma.value)
+    if not np.all(np.isfinite(lp)):
+        raise ad.DiffError("log_likelihood_per_point: non-finite log density")
+    return float(lp.mean())
+
+
+def split(pred):
+    """A batch ``Predictive`` as one ``PredictiveDistribution`` per task, by ``narrow``."""
+    return [
+        PredictiveDistribution(
+            ad.narrow(pred.mu, 1, pred.offsets[k], pred.offsets[k + 1] - pred.offsets[k]),
+            ad.narrow(pred.sigma, 1, pred.offsets[k], pred.offsets[k + 1] - pred.offsets[k]),
+        )
+        for k in range(len(pred))
+    ]
+
+
+def joined(preds):
+    """One ``Predictive`` over per-task predictions, by ``concat``, whose vjp hands
+    each task a view of the gradient."""
+    offsets = tuple(np.cumsum([0] + [p.mu.value.shape[1] for p in preds]).tolist())
+    return Predictive(ad.concat([p.mu for p in preds], axis=1),
+                      ad.concat([p.sigma for p in preds], axis=1), offsets)
+
+
+def psi(log_length_scale, grid, xs, grid_axis):
+    basis, vjp = learnable_psi_eval(log_length_scale.value, grid, xs, grid_axis)
+    return ad.Node(basis, (log_length_scale,), lambda g, i: vjp(g), op="psi")
+
+
+def embed(context_x, context_y, grid, log_length_scale):
+    context_x = np.atleast_1d(np.asarray(context_x, float))
+    context_y = np.asarray(context_y, float)
+    if context_y.ndim == 1:
+        context_y = context_y[:, None]
+    if context_x.size == 0:
+        return ad.constant(np.zeros((1 + context_y.shape[1], grid.n_points)))
+    order = context_order(context_x, context_y)
+    context_y = context_y[order]
+    basis = psi(log_length_scale, grid, context_x[order], grid_axis=1)  # (N, T)
+    phi = np.concatenate([np.ones((1, len(context_y))), context_y.T])  # (1 + dim_y, N)
+    return ad.matmul(ad.constant(phi), basis)
+
+
+def convcnp_forward_many(model, tasks, leaves):
+    """``ConvCNP.forward_many`` with per-task embedding and readout nodes."""
+    grids = [make_grid(t.context_x, t.target_x, model.gamma, model.margin) for t in tasks]
+    pieces = [
+        embed(t.context_x, t.context_y, grid, leaves["encoder.log_length_scale"])
+        for t, grid in zip(tasks, grids)
+    ]
+    gap = (KERNEL_SIZE - 1) // 2
+    sizes = [grid.n_points for grid in grids]
+    starts = np.cumsum([0] + [n + gap for n in sizes[:-1]])
+    signal, mask = pieces[0], None
+    if len(tasks) > 1:
+        zeros = ad.constant(np.zeros((1 + model.dim_y, gap)))
+        signal = ad.concat([p for piece in pieces for p in (zeros, piece)][1:], axis=1)
+        mask = np.zeros((1, starts[-1] + sizes[-1]))
+        for start, n in zip(starts, sizes):
+            mask[:, start : start + n] = 1.0
+    signal = embedding.divide_by_density(signal)
+    h = models.cnn_forward(model.cnn, signal, leaves, "cnn", mask=mask)
+    return readout(h, grids, starts, [t.target_x for t in tasks],
+                   leaves["readout.log_length_scale"], model.dim_y)
+
+
+def readout(h, grids, starts, target_xs, log_length_scale, dim_y):
+    """The ConvCNP's readout with ``narrow``, ``psi``, ``matmul`` and ``floor_sigma`` per task."""
+    f_mu = ad.narrow(h, 0, 0, dim_y)
+    f_sigma = ad.softplus(ad.narrow(h, 0, dim_y, dim_y))
+    preds = []
+    for x, grid, start in zip(target_xs, grids, starts):
+        basis = psi(log_length_scale, grid, x, grid_axis=0)
+        mu = ad.matmul(ad.narrow(f_mu, 1, start, grid.n_points), basis)
+        sigma = ad.matmul(ad.narrow(f_sigma, 1, start, grid.n_points), basis)
+        preds.append(PredictiveDistribution(mu=mu, sigma=floor_sigma_node(sigma)))
+    return preds
+
+
+def cnp_forward_many(model, tasks, leaves):
+    """``CNPBaseline.forward_many`` with two ``narrow``s per task."""
+    inputs, targets, n_ctx, n_tgt = [], [], [], []
+    for task in tasks:
+        ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
+        if ctx_x.size:
+            ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, -1)
+            order = context_order(ctx_x, ctx_y)
+            inputs.append(np.vstack([ctx_x[order][None, :], ctx_y[order].T]))
+        targets.append(np.atleast_1d(np.asarray(task.target_x, float)))
+        n_ctx.append(ctx_x.size)
+        n_tgt.append(targets[-1].size)
+    segments = np.repeat(np.arange(len(tasks)), n_ctx)
+    if segments.size:
+        average = np.zeros((segments.size, len(tasks)))
+        average[np.arange(segments.size), segments] = 1.0 / np.asarray(n_ctx)[segments]
+        encoded = model._mlp("enc", ad.constant(np.concatenate(inputs, axis=1)), leaves)
+        rep = ad.matmul(encoded, ad.constant(average))
+    else:
+        rep = ad.constant(np.zeros((model.HIDDEN, len(tasks))))
+    spread = np.zeros((len(tasks), sum(n_tgt)))
+    spread[np.repeat(np.arange(len(tasks)), n_tgt), np.arange(sum(n_tgt))] = 1.0
+    tiled = ad.matmul(rep, ad.constant(spread))
+    dec_in = ad.concat([ad.constant(np.concatenate(targets)[None, :]), tiled], axis=0)
+    out = model._mlp("dec", dec_in, leaves)
+    mu = ad.narrow(out, 0, 0, model.dim_y)
+    sigma = floor_sigma_node(ad.softplus(ad.narrow(out, 0, model.dim_y, model.dim_y)))
+    starts = np.cumsum([0] + n_tgt[:-1])
+    return [
+        PredictiveDistribution(mu=ad.narrow(mu, 1, start, m), sigma=ad.narrow(sigma, 1, start, m))
+        for start, m in zip(starts, n_tgt)
+    ]
+
+
+def floor_sigma_node(sigma):
+    scale = 1.0 - SIGMA_FLOOR_WEIGHT
+    return ad.Node(SIGMA_FLOOR_WEIGHT * SIGMA_MIN + scale * sigma.value, (sigma,),
+                   lambda g, i: g * scale, op="floor_sigma")
+
+
 def nll_loss(pred, target_y):
     lp = gaussian_log_pdf(_target_rows(pred, target_y), pred.mu, pred.sigma)
     return ad.mul(reduce_mean(lp), ad.constant(np.asarray(-1.0)))
@@ -150,6 +324,10 @@ def mean_loss(losses):
 
 
 def batch_nll(preds, targets):
+    """The per-task chains over a list of predictions, or over a ``Predictive`` split
+    by ``narrow``."""
+    if isinstance(preds, Predictive):
+        preds = split(preds)
     return mean_loss([nll_loss(p, y) for p, y in zip(preds, targets)])
 
 

@@ -326,13 +326,13 @@ class TestCriterion9Injectivity:
     def test_1000_distinct_pairs(self):
         rng = np.random.default_rng(4)
         grid = make_grid([-2.0], [2.0], gamma=64.0)
-        log_l = ad.constant(np.asarray(np.log(2.0 / 64.0)))
+        log_l = np.asarray(np.log(2.0 / 64.0))
         smallest = np.inf
         for _ in range(1000):
             xa, ya = rng.uniform(-2, 2, 2), rng.normal(size=(2, 1))
             xb, yb = rng.uniform(-2, 2, 2), rng.normal(size=(2, 1))
-            ea = embed(xa, ya, grid, log_l).value
-            eb = embed(xb, yb, grid, log_l).value
+            ea, _ = embed(xa, ya, grid, log_l)
+            eb, _ = embed(xb, yb, grid, log_l)
             smallest = min(smallest, np.abs(ea - eb).max())
         report("criterion 9", f"smallest sup-norm gap over 1000 pairs {smallest:.2e}")
         assert smallest > 1e-6
@@ -344,7 +344,7 @@ class TestCriterion10SigmaPositivity:
         floored_min = min(
             model.forward(t).std.min() for t in eval_tasks[:100]
         )
-        monkeypatch.setattr(models, "_floor_sigma", lambda s: s)
+        monkeypatch.setattr(models, "_floor", lambda raw: raw)
         unfloored = ConvCNP(gamma=32.0, init_seed=0)
         rng = np.random.default_rng(5)
         unfloored_min = np.inf

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convcnp import autodiff as ad
-from convcnp.embedding import UniformGrid
+from convcnp.embedding import UniformGrid, encode
 from convcnp.kernels import (
     DATA_KERNELS,
     EQ,
@@ -16,7 +16,7 @@ from convcnp.kernels import (
     init_log_length_scale,
     learnable_psi_eval,
 )
-from reference_tape import reduce_sum
+from reference_tape import psi, reduce_sum
 
 ALL_KERNELS = list(DATA_KERNELS.values())
 
@@ -103,7 +103,7 @@ class TestGram:
 
 
 def psi_on(log_l, grid, xs, grid_axis=1):
-    return learnable_psi_eval(ad.constant(np.asarray(log_l)), grid, xs, grid_axis)
+    return learnable_psi_eval(np.asarray(log_l), grid, xs, grid_axis)[0]
 
 
 class TestLearnablePsi:
@@ -111,7 +111,7 @@ class TestLearnablePsi:
         grid = UniformGrid(lower=0.7, spacing=0.1, n_points=1)
         for log_l in (-2.0, 0.0, 1.5):
             out = psi_on(log_l, grid, np.full(4, 0.7))
-            np.testing.assert_array_equal(out.value, np.ones((4, 1)))
+            np.testing.assert_array_equal(out, np.ones((4, 1)))
 
     def test_init_is_twice_grid_spacing(self):
         assert np.exp(init_log_length_scale(64.0)) == pytest.approx(2.0 / 64.0)
@@ -122,7 +122,7 @@ class TestLearnablePsi:
         grid = UniformGrid(lower=0.0, spacing=0.1, n_points=6)
         out = psi_on(np.log(0.2), grid, [0.0], grid_axis=0)
         d = grid.points[:, None]
-        np.testing.assert_allclose(out.value, np.exp(-0.5 * (d / 0.2) ** 2), rtol=1e-14)
+        np.testing.assert_allclose(out, np.exp(-0.5 * (d / 0.2) ** 2), rtol=1e-14)
 
     def test_gradient_wrt_log_length_scale(self):
         store = ad.ParameterStore({"log_l": np.log(0.3)})
@@ -130,22 +130,22 @@ class TestLearnablePsi:
         grid = UniformGrid(lower=0.15, spacing=0.15, n_points=6)
 
         def builder(leaves):
-            return reduce_sum(learnable_psi_eval(leaves["log_l"], grid, [0.0], 1))
+            return reduce_sum(psi(leaves["log_l"], grid, [0.0], 1))
 
         assert ad.grad_check(builder, store, step=1e-6) < 1e-6
 
     def test_overflowing_inverse_length_scale_names_the_op(self):
         # 1 / l^2 overflows to inf, and exp(-inf) = 0 would hide it
-        log_l = ad.Node(-400.0, needs_grad=True)
         grid = UniformGrid(lower=0.5, spacing=0.5, n_points=2)
         with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'psi'"):
-            learnable_psi_eval(log_l, grid, [0.0], 1)
+            learnable_psi_eval(np.asarray(-400.0), grid, [0.0], 1)
 
     def test_one_tape_node(self):
+        # the basis makes no node of its own: the stage that uses it is one node
         log_l = ad.Node(np.log(0.2), needs_grad=True)
         grid = UniformGrid(lower=0.1, spacing=0.2, n_points=2)
-        out = learnable_psi_eval(log_l, grid, np.array([0.0]), 1)
-        assert out._parents == (log_l,)
+        out = encode([(np.array([0.0]), np.array([[1.0]]))], [grid], [slice(0, 2)], log_l)
+        assert out.op == "encode" and out._parents == (log_l,)
 
 
 class TestPsiBand:
@@ -179,7 +179,7 @@ class TestPsiBand:
             return exp(a, *rest, **kwargs)
 
         monkeypatch.setattr(np, "exp", spy)
-        out = learnable_psi_eval(*args)
+        out, _ = learnable_psi_eval(*args)
         monkeypatch.undo()
         return out, sizes
 
@@ -187,19 +187,19 @@ class TestPsiBand:
     def test_equals_the_dense_evaluation_bit_for_bit(self, grid_axis, monkeypatch):
         xs = self.inputs()
         out, sizes = self.evaluated_sizes(
-            monkeypatch, ad.constant(np.asarray(self.LOG_L)), self.GRID, xs, grid_axis
+            monkeypatch, np.asarray(self.LOG_L), self.GRID, xs, grid_axis
         )
         expected = self.dense(xs)
         assert max(sizes) < expected.size / 4  # the band, not the whole matrix
-        assert out.value.flags.c_contiguous
-        np.testing.assert_array_equal(out.value, expected if grid_axis == 0 else expected.T)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, expected if grid_axis == 0 else expected.T)
         assert np.count_nonzero(expected) < expected.size / 4
 
     def test_entries_at_the_underflow_edge(self):
         xs = self.inputs()[-2:]
         exponent = (self.GRID.points[:, None] - xs) ** 2 * (np.exp(self.LOG_L * -2.0) * -0.5)
         edge = (exponent > -746.0) & (exponent < -745.0)
-        out = psi_on(self.LOG_L, self.GRID, xs, grid_axis=0).value
+        out = psi_on(self.LOG_L, self.GRID, xs, grid_axis=0)
         np.testing.assert_array_equal(out[edge], self.dense(xs)[edge])
         assert np.all(out[edge] < np.finfo(float).tiny)  # subnormal or zero
         assert 0 < np.count_nonzero(out[edge]) < np.count_nonzero(edge)
@@ -208,8 +208,8 @@ class TestPsiBand:
         xs = self.inputs()
         weights = np.random.default_rng(4).standard_normal((len(xs), self.GRID.n_points))
         log_l = ad.Node(np.asarray(self.LOG_L), needs_grad=True)
-        psi = learnable_psi_eval(log_l, self.GRID, xs, 1)
-        ad.backward(reduce_sum(ad.mul(psi, ad.constant(weights))))
+        basis = psi(log_l, self.GRID, xs, 1)
+        ad.backward(reduce_sum(ad.mul(basis, ad.constant(weights))))
         d2 = (self.GRID.points[None, :] - xs[:, None]) ** 2
         expected = np.sum(weights * self.dense(xs).T * d2) * np.exp(self.LOG_L * -2.0)
         assert float(log_l.grad) == pytest.approx(expected, rel=1e-13)

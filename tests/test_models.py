@@ -9,9 +9,11 @@ from convcnp.models import (
     CnnSpec,
     ConvCNP,
     ConvCNPOnGrid,
+    Predictive,
+    batch_nll,
     grid_nll_loss,
-    log_likelihood_per_point,
     nll_loss,
+    task_log_likelihood,
 )
 from convcnp.synthdata import ProcessSpec, Task, sample_task
 
@@ -172,57 +174,59 @@ class TestGradients:
         assert ad.grad_check(builder, model.params, step=1e-5) < 1e-4
 
 
+def one_task(mu, sigma):
+    """A one-task prediction over (dim_y, M) arrays."""
+    return Predictive(ad.constant(mu), ad.constant(sigma), (0, np.shape(mu)[1]))
+
+
 class TestNLL:
     def test_perfect_prediction_unit_sigma(self):
-        mu = ad.constant(np.array([[1.0, -2.0]]))
-        sigma = ad.constant(np.ones((1, 2)))
-        from convcnp.models import PredictiveDistribution
-
-        pred = PredictiveDistribution(mu=mu, sigma=sigma)
+        pred = one_task(np.array([[1.0, -2.0]]), np.ones((1, 2)))
         loss = nll_loss(pred, np.array([[1.0], [-2.0]]))
         assert float(loss.value) == pytest.approx(0.9189385332046727)
 
     def test_doubling_sigma_adds_log_two(self):
-        from convcnp.models import PredictiveDistribution
-
         y = np.array([[0.5], [1.5], [-0.3]])
-        mu = ad.constant(y.T)
-        one = nll_loss(PredictiveDistribution(mu, ad.constant(np.ones((1, 3)))), y)
-        two = nll_loss(PredictiveDistribution(mu, ad.constant(2 * np.ones((1, 3)))), y)
+        one = nll_loss(one_task(y.T, np.ones((1, 3))), y)
+        two = nll_loss(one_task(y.T, 2 * np.ones((1, 3))), y)
         assert float(two.value) - float(one.value) == pytest.approx(np.log(2.0))
 
     def test_empty_targets_rejected(self):
-        from convcnp.models import PredictiveDistribution
-
-        pred = PredictiveDistribution(
-            ad.constant(np.zeros((1, 0))), ad.constant(np.zeros((1, 0)))
-        )
+        pred = one_task(np.zeros((1, 0)), np.zeros((1, 0)))
         with pytest.raises(ad.DiffError):
             nll_loss(pred, np.zeros((0, 1)))
 
-    def test_log_likelihood_per_point_matches_nll(self):
+    def test_task_log_likelihood_matches_nll(self):
         model = small_model()
         task = tiny_task(11, n_ctx=4, n_tgt=5)
         pred = model.forward(task)
-        ll = log_likelihood_per_point(pred, task.target_y)
+        ll = task_log_likelihood(pred, 0, task.target_y)
         assert ll == -float(nll_loss(pred, task.target_y).value)
 
-    def test_log_likelihood_per_point_rejects_what_nll_rejects(self):
-        from convcnp.models import PredictiveDistribution
-
-        def pred(mu, sigma):
-            return PredictiveDistribution(ad.constant(mu), ad.constant(sigma))
-
+    def test_task_log_likelihood_rejects_what_nll_rejects(self):
         ones = np.ones((1, 3))
         cases = [
-            (pred(0 * ones, 0 * ones), np.ones(3)),  # non-positive sigma
-            (pred(0 * ones, 1e-200 * ones), np.ones(3)),  # density overflows
-            (pred(0 * ones, ones), np.ones((3, 2))),  # targets do not fit
+            (one_task(0 * ones, 0 * ones), np.ones(3)),  # non-positive sigma
+            (one_task(0 * ones, 1e-200 * ones), np.ones(3)),  # density overflows
+            (one_task(0 * ones, ones), np.ones((3, 2))),  # targets do not fit
         ]
         for p, y in cases:
-            for loss in (log_likelihood_per_point, nll_loss):
+            for loss in (lambda p, y: task_log_likelihood(p, 0, y), nll_loss):
                 with np.errstate(over="ignore"), pytest.raises(ad.DiffError):
                     loss(p, y)
+
+    def test_task_log_likelihood_reads_the_tasks_columns(self):
+        rng = np.random.default_rng(12)
+        mu, sigma = rng.normal(size=(2, 7)), rng.uniform(0.5, 2.0, size=(2, 7))
+        pred = Predictive(ad.constant(mu), ad.constant(sigma), (0, 3, 7))
+        ys = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
+        for k, (y, cols) in enumerate(zip(ys, (slice(0, 3), slice(3, 7)))):
+            alone = one_task(mu[:, cols].copy(), sigma[:, cols].copy())
+            assert task_log_likelihood(pred, k, y) == task_log_likelihood(alone, 0, y)
+            np.testing.assert_array_equal(pred.mean[pred.task(k)], alone.mean)
+        assert len(pred) == 2
+        with pytest.raises(ad.DiffError, match="do not fit"):
+            task_log_likelihood(pred, 1, ys[0])
 
 
 class TestCNPBaseline:
@@ -259,21 +263,28 @@ class TestCNPBaseline:
 
 
 def _per_task_and_batched(model, tasks):
-    """Predictions, losses and mean-loss gradients, task by task and batched."""
+    """Means and deviations, per-task losses and mean-loss gradients, task by
+    task and batched."""
     results = []
+    ys = [t.target_y for t in tasks]
     for batched in (False, True):
         leaves = model.params.leaves()
         if batched:
-            preds = model.forward_many(tasks, leaves=leaves)
+            pred = model.forward_many(tasks, leaves=leaves)
+            preds = [(pred.mean[pred.task(k)], pred.std[pred.task(k)]) for k in range(len(tasks))]
+            losses = [-task_log_likelihood(pred, k, y) for k, y in enumerate(ys)]
+            ad.backward(batch_nll(pred, ys))
         else:
-            preds = [model.forward(t, leaves=leaves) for t in tasks]
-        losses = [nll_loss(p, t.target_y) for p, t in zip(preds, tasks)]
-        total = losses[0]
-        for extra in losses[1:]:
-            total = ad.add(total, extra)
-        ad.backward(ad.mul(total, ad.constant(np.asarray(1.0 / len(tasks)))))
+            alone = [model.forward(t, leaves=leaves) for t in tasks]
+            preds = [(p.mean, p.std) for p in alone]
+            nodes = [nll_loss(p, y) for p, y in zip(alone, ys)]
+            losses = [float(loss.value) for loss in nodes]
+            total = nodes[0]
+            for extra in nodes[1:]:
+                total = ad.add(total, extra)
+            ad.backward(ad.mul(total, ad.constant(np.asarray(1.0 / len(tasks)))))
         grads = {name: leaf.grad for name, leaf in leaves.items()}
-        results.append((preds, [float(loss.value) for loss in losses], grads))
+        results.append((preds, losses, grads))
     return results
 
 
@@ -286,8 +297,8 @@ def _assert_batch_matches(model, tasks, tol=1e-12):
     (alone, alone_loss, alone_grad), (batch, batch_loss, batch_grad) = (
         _per_task_and_batched(model, tasks)
     )
-    for a, b in zip(alone, batch):
-        for x, y in ((a.mean, b.mean), (a.std, b.std)):
+    for a, b in zip(alone, batch, strict=True):
+        for x, y in zip(a, b):
             assert x.shape == y.shape
             if x.size:
                 assert np.max(np.abs(x - y)) <= tol * max(1.0, np.max(np.abs(x)))
@@ -342,8 +353,9 @@ class TestForwardMany:
         dec_in = np.vstack([task.target_x[None], np.zeros((model.HIDDEN, 6))])
         out = model._mlp("dec", ad.constant(dec_in), leaves).value
         for batch in ([no_ctx], [task, no_ctx]):
-            pred = model.forward_many(batch, leaves=leaves)[-1]
-            np.testing.assert_allclose(pred.mean[:, 0], out[0], rtol=0, atol=1e-12)
+            pred = model.forward_many(batch, leaves=leaves)
+            mean = pred.mean[pred.task(len(batch) - 1)]
+            np.testing.assert_allclose(mean[:, 0], out[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "model", [small_model(), ConvCNP(gamma=32.0, init_seed=6), CNPBaseline(init_seed=6)],
@@ -351,7 +363,7 @@ class TestForwardMany:
     )
     def test_forward_is_a_batch_of_one(self, model):
         task = tiny_task(14, n_ctx=7, n_tgt=5)
-        a, b = model.forward(task), model.forward_many([task])[0]
+        a, b = model.forward(task), model.forward_many([task])
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
         # without parameter leaves nothing takes a gradient, so no tape is kept
         assert a.mu._parents == () and b.mu._parents == () and b.sigma._parents == ()
@@ -363,7 +375,7 @@ class TestForwardMany:
     def test_context_permutation_inside_a_batch_is_bit_exact(self, model):
         tasks = [tiny_task(seed, n_ctx=9, n_tgt=4) for seed in (15, 16, 17)]
         base = model.forward_many(tasks)
-        assert all(p.mu._parents == () and p.sigma._parents == () for p in base)
+        assert base.mu._parents == () and base.sigma._parents == ()
         rng = np.random.default_rng(8)
         for _ in range(3):
             shuffled = []
@@ -371,8 +383,8 @@ class TestForwardMany:
                 perm = rng.permutation(len(t.context_x))
                 shuffled.append(Task(t.context_x[perm], t.context_y[perm],
                                      t.target_x, t.target_y))
-            for a, b in zip(base, model.forward_many(shuffled)):
-                assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+            pred = model.forward_many(shuffled)
+            assert np.array_equal(pred.mean, base.mean) and np.array_equal(pred.std, base.std)
 
     @pytest.mark.parametrize(
         "model", [ConvCNP(gamma=32.0, init_seed=7), CNPBaseline(init_seed=7)],

@@ -5,24 +5,28 @@ order as the composition it replaces (``reference_tape.py``), so values and
 gradients are compared for exact equality, signed zeros included.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import reference_tape as ref
 from convcnp import autodiff as ad
 from convcnp import models, training
-from convcnp.embedding import divide_by_density
+from convcnp.embedding import UniformGrid, divide_by_density
+from convcnp.kernels import DATA_KERNELS
 from convcnp.models import (
     CNPBaseline,
     CnnSpec,
     ConvCNP,
     ConvCNPOnGrid,
     GridPredictive,
-    PredictiveDistribution,
+    Predictive,
     batch_nll,
     grid_nll_loss,
     nll_loss,
 )
+from convcnp.oracle import GPOracle, gp_posterior_predict
 from convcnp.synthdata import ProcessSpec, sample_task
 
 
@@ -147,10 +151,10 @@ def test_batch_nll_matches_per_task_losses(n_tasks, dim_y, weight):
     ys = [rng.normal(size=(m, dim_y)) for m in sizes]
 
     def preds(*nodes):
-        return [PredictiveDistribution(mu, sigma) for mu, sigma in zip(nodes[::2], nodes[1::2])]
+        return [ref.PredictiveDistribution(mu, sigma) for mu, sigma in zip(nodes[::2], nodes[1::2])]
 
     results = []
-    for loss in (batch_nll, ref.batch_nll):
+    for loss in (lambda ps, ys: batch_nll(ref.joined(ps), ys), ref.batch_nll):
         leaves = [ad.Node(a, needs_grad=True) for a in arrays]
         value = loss(preds(*leaves), ys)
         ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
@@ -160,7 +164,8 @@ def test_batch_nll_matches_per_task_losses(n_tasks, dim_y, weight):
     for a, b in zip(grads, want_grads, strict=True):
         assert_bits_equal(a, b)
     if n_tasks == 1:
-        assert_bits_equal(nll_loss(*preds(*map(ad.constant, arrays)), ys[0]).value, value)
+        one = Predictive(*map(ad.constant, arrays), (0, sizes[0]))
+        assert_bits_equal(nll_loss(one, ys[0]).value, value)
 
 
 def _grid_examples(rng, n, channels, shape):
@@ -263,8 +268,9 @@ def test_density_node_matches_the_five_node_chain(shape):
 @pytest.mark.parametrize("kind", ["eq", "lotka-volterra", "cnp"])
 @pytest.mark.parametrize("weight", [1.0, 0.3])  # the gradient the loss receives
 def test_off_grid_models_match_the_op_by_op_stages(kind, weight, monkeypatch):
-    """Density division and deviation floor against their chains, on three
-    tasks laid end to end with gap columns between their grids."""
+    """Density division, and the CNP's deviation floor, against their chains,
+    on three tasks laid end to end with gap columns between their grids.  The
+    ConvCNP floors inside ``decode``, pinned by the tests of the stages below."""
     dim_y = 2 if kind == "lotka-volterra" else 1
     process = ProcessSpec.default_for("eq" if kind == "cnp" else kind)
     tasks = [sample_task(process, seed) for seed in range(3)]
@@ -279,10 +285,10 @@ def test_off_grid_models_match_the_op_by_op_stages(kind, weight, monkeypatch):
         else:
             model = ConvCNP(dim_y=dim_y, gamma=16.0, cnn=CnnSpec.small(dim_y), init_seed=4)
         leaves = model.params.leaves()
-        preds = model.forward_many(tasks, leaves=leaves)
-        value = batch_nll(preds, [t.target_y for t in tasks])
+        pred = model.forward_many(tasks, leaves=leaves)
+        value = batch_nll(pred, [t.target_y for t in tasks])
         ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
-        results.append([value.value] + [a for p in preds for a in (p.mu.value, p.sigma.value)]
+        results.append([value.value, pred.mu.value, pred.sigma.value]
                        + [leaf.grad for leaf in leaves.values()])
     for a, b in zip(*results, strict=True):
         assert_bits_equal(a, b)
@@ -363,11 +369,162 @@ def test_train_matches_the_op_by_op_composition(kind, monkeypatch):
         patch.setattr(models, "cnn_forward", ref.cnn_forward)
         patch.setattr(training, "batch_nll", ref.batch_nll)
         patch.setattr(models, "divide_by_density", ref.divide_by_density)
-        patch.setattr(models, "_floor_sigma", ref.floor_sigma)
         want = _train_two_blocks(model(), process)
     assert store.step == want.step == 6
     for field in ("value", "m", "v"):
         assert_bits_equal(getattr(store, field), getattr(want, field))
+
+
+_OFF_GRID = [case for case, (_, kind) in _STEP_MODELS.items() if kind]
+
+
+def _tasks(kind, n, seed=0):
+    """``n`` tasks; of more than one, the second has an empty context."""
+    tasks = [sample_task(ProcessSpec.default_for(kind), seed + k) for k in range(n)]
+    if n > 1:
+        tasks[1] = replace(tasks[1], context_x=tasks[1].context_x[:0],
+                           context_y=tasks[1].context_y[:0])
+    return tasks
+
+
+def _reference_forward(model, tasks, leaves):
+    """``forward_many`` as the per-task chains: one ``PredictiveDistribution`` per task."""
+    if isinstance(model, CNPBaseline):
+        return ref.cnp_forward_many(model, tasks, leaves)
+    return ref.convcnp_forward_many(model, tasks, leaves)
+
+
+@pytest.mark.parametrize("n_tasks", [1, 4, 8])
+@pytest.mark.parametrize("case", _OFF_GRID)
+def test_stages_match_the_per_task_chains(case, n_tasks):
+    """The ConvCNP's encode, CNN and decode stages, and the CNP's one Predictive,
+    against the per-task nodes they replace: predictions, loss and every leaf
+    gradient."""
+    build, kind = _STEP_MODELS[case]
+    model = build()
+    tasks = _tasks(kind, n_tasks)
+    ys = [t.target_y for t in tasks]
+    results = []
+    for staged in (True, False):
+        leaves = model.params.leaves()
+        if staged:
+            pred = model.forward_many(tasks, leaves=leaves)
+            loss = batch_nll(pred, ys)
+            arrays = [a[:, pred.task(k)] for k in range(n_tasks)
+                      for a in (pred.mu.value, pred.sigma.value)]
+        else:
+            preds = _reference_forward(model, tasks, leaves)
+            loss = ref.per_task_batch_nll(preds, ys)
+            arrays = [a for p in preds for a in (p.mu.value, p.sigma.value)]
+        ad.backward(ad.mul(loss, ad.constant(np.asarray(0.3))))
+        results.append([loss.value, *arrays, *(leaf.grad for leaf in leaves.values())])
+    assert len(results[0]) == 1 + 2 * n_tasks + len(model.params.items())
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("dim_y", [1, 2])
+@pytest.mark.parametrize("n_tasks", [1, 3])
+def test_decode_matches_the_per_task_readout(dim_y, n_tasks):
+    """The gradients reaching ``h`` and the log length scale.  Grids of 300
+    points reach past every target's window, where the basis is 0.0.  Below
+    -709 the softplus's slope is 0.0, so negative weights make its vjp -0.0
+    there, which the narrows of the per-task readout turned into 0.0.  Every
+    third weight of a later task is -0.0."""
+    rng = np.random.default_rng(10 * dim_y + n_tasks)
+    grids = [UniformGrid(lower=-2.0 + 20 * k, spacing=1 / 16, n_points=300 + 5 * k)
+             for k in range(n_tasks)]
+    starts = np.cumsum([0] + [grid.n_points + 2 for grid in grids[:-1]])
+    cols = [slice(start, start + grid.n_points) for start, grid in zip(starts, grids)]
+    target_xs = [rng.uniform(-1.0, 0.0, size=4 + k) + 20 * k for k in range(n_tasks)]
+    h = rng.normal(size=(2 * dim_y, cols[-1].stop))
+    h[dim_y:, ::7] = -800.0
+    weights = -np.abs(rng.normal(size=(2, dim_y, sum(map(len, target_xs)))))
+    weights[:, :, 4::3] = -0.0
+    results = []
+    for staged in (True, False):
+        leaves = [ad.Node(h, needs_grad=True), ad.Node(np.log(2 / 16), needs_grad=True)]
+        if staged:
+            pred = models.decode(leaves[0], grids, cols, target_xs, leaves[1], dim_y)
+            mu, sigma = pred.mu, pred.sigma
+        else:
+            preds = ref.readout(leaves[0], grids, starts, target_xs, leaves[1], dim_y)
+            mu, sigma = (ad.concat([getattr(p, a) for p in preds], axis=1) for a in ("mu", "sigma"))
+        ad.backward(ad.add(ref.reduce_sum(ad.mul(mu, ad.constant(weights[0]))),
+                           ref.reduce_sum(ad.mul(sigma, ad.constant(weights[1])))))
+        results.append([mu.value, sigma.value] + [leaf.grad for leaf in leaves])
+    assert (results[0][2] == 0).any()
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
+
+
+_TAPE_NODES = {"convcnp-small-eq": 20, "convcnp-small-lv": 20, "convcnp-xl-sawtooth": 49,
+               "cnp": 40}
+
+
+@pytest.mark.parametrize("case", _OFF_GRID)
+def test_a_training_step_builds_the_same_tape_at_any_batch_size(case):
+    """Steps of 4 and of 8 tasks build as many nodes: stages, and no per-task glue."""
+    build, kind = _STEP_MODELS[case]
+    model = build()
+    sizes = []
+    for n_tasks in (4, 8):
+        tasks = _tasks(kind, n_tasks)
+        pred = model.forward_many(tasks, leaves=model.params.leaves())
+        sizes.append(_tape_size([batch_nll(pred, [t.target_y for t in tasks])]))
+    assert sizes == [_TAPE_NODES[case]] * 2
+
+
+def _joined_reference_forward(model, tasks, leaves=None):
+    """The per-task chains joined into one ``Predictive``, for ``train`` and ``evaluate``."""
+    return ref.joined(_reference_forward(
+        model, tasks, model.params.constants() if leaves is None else leaves
+    ))
+
+
+@pytest.mark.parametrize("case", _OFF_GRID)
+def test_train_matches_the_per_task_chains(case, monkeypatch):
+    """The store's value and Adam moments after training, bit for bit."""
+    build, kind = _STEP_MODELS[case]
+    process = ProcessSpec.default_for(kind)
+    store = _train_two_blocks(build(), process)
+    model = build()
+    monkeypatch.setattr(type(model), "forward_many", _joined_reference_forward)
+    want = _train_two_blocks(model, process)
+    assert store.step == want.step == 6
+    for field in ("value", "m", "v"):
+        assert_bits_equal(getattr(store, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("case", [*_OFF_GRID, "gp-oracle"])
+def test_evaluate_matches_the_per_task_scoring(case):
+    """evaluate's per-task log likelihoods and errors against each task scored
+    alone, over two chunks of tasks."""
+    if case == "gp-oracle":
+        model, kind = GPOracle(DATA_KERNELS["eq"]), "eq"
+
+        def per_task(chunk):
+            moments = [gp_posterior_predict(model.kernel, t.context_x, t.context_y[:, 0],
+                                            t.target_x) for t in chunk]
+            return [ref.PredictiveDistribution(ad.constant(mean[None]), ad.constant(std[None]))
+                    for mean, std in moments]
+    else:
+        build, kind = _STEP_MODELS[case]
+        model = build()
+
+        def per_task(chunk):
+            return _reference_forward(model, chunk, model.params.constants())
+    tasks = _tasks(kind, 11, seed=20)
+    summary = training.evaluate(model, tasks)
+    lls, mses = [], []
+    for start in range(0, len(tasks), training._EVAL_CHUNK):
+        chunk = tasks[start : start + training._EVAL_CHUNK]
+        for task, pred in zip(chunk, per_task(chunk), strict=True):
+            lls.append(ref.log_likelihood_per_point(pred, task.target_y))
+            mses.append(float(np.mean((pred.mean - task.target_y) ** 2)))
+    assert_bits_equal(summary.per_task_ll, np.asarray(lls))
+    assert_bits_equal(summary.per_task_mse, np.asarray(mses))
+    assert summary.mean_ll == float(np.mean(lls))
 
 
 class TestGridLossChecks:
@@ -408,13 +565,14 @@ class TestNonFiniteNamesTheOp:
             conv(ad.constant(x), w, relu=True, mask=mask)
 
     def test_batch_loss(self):
-        mu = ad.Node(np.zeros((1, 3)), needs_grad=True)
-        good = PredictiveDistribution(mu, ad.constant(np.ones((1, 3))))
-        tiny = PredictiveDistribution(mu, ad.constant(np.full((1, 3), 1e-200)))
+        mu = ad.Node(np.zeros((1, 6)), needs_grad=True)
+        sigma = np.ones((1, 6))
+        sigma[:, 3:] = 1e-200  # the second task's
+        pred = Predictive(mu, ad.constant(sigma), (0, 3, 6))
         with np.errstate(over="ignore"), pytest.raises(
             ad.DiffError, match="op 'batch_nll' produced non-finite"
         ):
-            batch_nll([good, tiny], [np.ones(3), np.ones(3)])
+            batch_nll(pred, [np.ones(3), np.ones(3)])
 
     def test_grid_loss(self):
         mu = ad.Node(np.zeros((1, 2, 3)), needs_grad=True)

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from convcnp import autodiff as ad
 from convcnp import training
 from convcnp.models import CNPBaseline, CnnSpec, ConvCNP
 from convcnp.synthdata import ProcessSpec, sample_task
@@ -103,6 +106,15 @@ class TestEvaluate:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             evaluate(tiny_model(), [])
+
+    def test_a_task_it_cannot_score_is_named(self):
+        # in the second chunk of eight: the index counts across chunks
+        tasks = [sample_task(PROCESS, s) for s in range(100, 112)]
+        tasks[10] = replace(tasks[10], target_y=np.full_like(tasks[10].target_y, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(
+            ad.DiffError, match=r"evaluate: task 10 \(seed 110\): non-finite log density"
+        ):
+            evaluate(tiny_model(), tasks)
 
 
 class TestTrain:
