@@ -69,44 +69,18 @@ def constant(value) -> Node:
 
 
 def _check_same_shape(op, a, b):
-    if a.value.shape != b.value.shape and a.value.ndim != 0 and b.value.ndim != 0:
-        try:
-            np.broadcast_shapes(a.value.shape, b.value.shape)
-        except ValueError:
-            raise DiffError(
-                f"op '{op}': incompatible shapes {a.value.shape} and {b.value.shape}"
-            ) from None
-
-
-def _unbroadcast(g, shape):
-    """Reduce a broadcasted gradient back to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    if a.value.shape != b.value.shape:
+        raise DiffError(f"op '{op}': incompatible shapes {a.value.shape} and {b.value.shape}")
 
 
 def add(a: Node, b: Node) -> Node:
     _check_same_shape("add", a, b)
-    return Node(
-        a.value + b.value,
-        (a, b),
-        lambda g, i: _unbroadcast(g, (a, b)[i].value.shape),
-        op="add",
-    )
+    return Node(a.value + b.value, (a, b), lambda g, i: g, op="add")
 
 
 def mul(a: Node, b: Node) -> Node:
     _check_same_shape("mul", a, b)
-    return Node(
-        a.value * b.value,
-        (a, b),
-        lambda g, i: _unbroadcast(g * (b, a)[i].value, (a, b)[i].value.shape),
-        op="mul",
-    )
+    return Node(a.value * b.value, (a, b), lambda g, i: g * (b, a)[i].value, op="mul")
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -127,10 +101,11 @@ def relu(x: Node) -> Node:
     return Node(np.where(mask, x.value, 0.0), (x,), lambda g, i: g * mask, op="relu")
 
 
-def softplus(x: Node) -> Node:
+def softplus(x: np.ndarray):
+    """log(1 + e^x) of an array, and its slope, the sigmoid of ``x``."""
     with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709: sigmoid 0
-        sig = 1.0 / (1.0 + np.exp(-x.value))
-    return Node(np.logaddexp(0.0, x.value), (x,), lambda g, i: g * sig, op="softplus")
+        slope = 1.0 / (1.0 + np.exp(-x))
+    return np.logaddexp(0.0, x), slope
 
 
 def absolute(x: Node) -> Node:
@@ -147,20 +122,6 @@ def concat(nodes, axis=0) -> Node:
     return Node(value, nodes, lambda g, i: g[blocks[i]], op="concat")
 
 
-def narrow(x: Node, axis: int, start: int, length: int) -> Node:
-    """Slice ``length`` entries from ``start`` along ``axis``."""
-    index = [slice(None)] * x.value.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-
-    def vjp(g, i):
-        out = np.zeros_like(x.value)
-        out[index] = g
-        return out
-
-    return Node(x.value[index], (x,), vjp, op="narrow")
-
-
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -172,10 +133,10 @@ def gaussian_ll(y, mu, sigma) -> np.ndarray:
     return -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * z**2
 
 
-def gaussian_ll_grad(g, y, mu, sigma, i) -> np.ndarray:
-    """``g`` times the derivative of :func:`gaussian_ll` in mu (i = 0) or sigma (i = 1)."""
+def gaussian_ll_grad(g, y, mu, sigma) -> np.ndarray:
+    """``g`` times the derivative of :func:`gaussian_ll` in mu, stacked over that in sigma."""
     z = (y - mu) / sigma
-    return g * z / sigma if i == 0 else g * (z**2 - 1.0) / sigma
+    return np.concatenate([g * z / sigma, g * (z**2 - 1.0) / sigma])
 
 
 def _pad(x, pad, mode, op):
@@ -231,6 +192,27 @@ def _correlate(xp, w, groups, spatial):
     return out.reshape(w.shape[0], *spatial)
 
 
+def _gate(out, relu, mask):
+    """Gate ``out`` in place by its ReLU and a 0/1 ``mask``, either optional, and
+    return the vjp's gate of an output gradient, which gates each g once:
+    backward passes every parent of a node the same g."""
+    if not relu and mask is None:
+        return lambda g: g
+    gate = np.logical_and(out > 0 if relu else True, True if mask is None else mask)
+    # + 0.0 turns a gated -0.0 into 0.0, and a non-finite value stays
+    # non-finite (inf * 0 is nan) for the node's own check
+    out *= gate
+    out += 0.0
+    gated = [None, None]
+
+    def gate_grad(g):
+        if gated[0] is not g:
+            gated[:] = g, g * gate
+        return gated[1]
+
+    return gate_grad
+
+
 def _conv(x: Node, w: Node, bias, padding, groups, nd, relu, mask) -> Node:
     """Grouped cross-correlation over ``nd`` spatial axes as matmuls on BLAS.
 
@@ -272,19 +254,10 @@ def _conv(x: Node, w: Node, bias, padding, groups, nd, relu, mask) -> Node:
             raise DiffError(f"op '{op}': bias shape {bias.value.shape} != ({c_out},)")
         out = out + bias.value.reshape((c_out,) + (1,) * nd)
         parents.append(bias)
-    gate, gated = None, [None, None]
-    if relu or mask is not None:
-        gate = np.logical_and(out > 0 if relu else True, True if mask is None else mask)
-        # + 0.0 turns a gated -0.0 into 0.0, and a non-finite value stays
-        # non-finite (inf * 0 is nan) for the node's own check
-        out *= gate
-        out += 0.0
+    gate = _gate(out, relu, mask)
 
     def vjp(g, i):
-        if gate is not None:  # gated once: backward passes every parent the same g
-            if gated[0] is not g:
-                gated[:] = g, g * gate
-            g = gated[1]
+        g = gate(g)
         if i == 2:
             return g.sum(axis=tuple(range(1, nd + 1)))
         if i == 1:
@@ -323,6 +296,25 @@ def conv2d(x: Node, w: Node, bias: Node | None = None, padding: str = "zeros",
     (C_out, H, W).
     """
     return _conv(x, w, bias, padding, groups, 2, relu, mask)
+
+
+def dense(w: Node, x: Node, bias: Node, relu: bool = False) -> Node:
+    """A layer on the columns of ``x``, w @ x + bias, and with ``relu`` a ReLU
+    gated as in :func:`conv1d`: ``w`` is (C_out, C_in), ``x`` (C_in, N), ``bias`` (C_out, 1)."""
+    fits = w.value.ndim == x.value.ndim == 2 and w.value.shape[1] == len(x.value)
+    if not fits or bias.value.shape != (len(w.value), 1):
+        raise DiffError(f"op 'dense': weight {w.value.shape}, input {x.value.shape} and bias "
+                        f"{bias.value.shape} do not fit")
+    out = w.value @ x.value + bias.value
+    gate = _gate(out, relu, None)
+
+    def vjp(g, i):
+        g = gate(g)
+        if i == 2:
+            return g.sum(axis=1, keepdims=True)
+        return g @ x.value.T if i == 0 else w.value.T @ g
+
+    return Node(out, (w, x, bias), vjp, op="dense")
 
 
 def backward(loss: Node) -> None:

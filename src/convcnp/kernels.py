@@ -109,8 +109,8 @@ def learnable_psi_eval(log_length_scale, grid, xs, grid_axis: int):
     exp is taken only on each input's window of grid points: those within
     UNDERFLOW_REACH length scales, found by index arithmetic, with one point of
     slack each side.  The other entries stay 0, as exp gives.  A window over 3/4
-    of the grid evaluates every entry.  The stage nodes ``embedding.encode`` and
-    ``models.decode`` call this for their bases.
+    of the grid evaluates every entry.  The stage nodes ``embedding.encode``
+    (``grid_axis`` 1) and ``models.decode`` (0) call this, and errors name them.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
     inv_l2 = np.exp(log_length_scale * -2.0)  # 1 / l^2
@@ -128,7 +128,9 @@ def learnable_psi_eval(log_length_scale, grid, xs, grid_axis: int):
     d2 = d**2
     exponent = d2 * (inv_l2 * -0.5)
     if not np.isfinite(exponent).all():
-        raise ad.DiffError("op 'psi' produced non-finite values")
+        stage, prefix = ("decode", "readout") if grid_axis == 0 else ("encode", "encoder")
+        raise ad.DiffError(f"op '{stage}': {prefix}.log_length_scale {log_length_scale:g} "
+                           "overflows 1 / l^2")
     psi = values = np.exp(exponent)
     if index is not None:
         psi = np.zeros((grid.n_points, xs.size) if grid_axis == 0 else (xs.size, grid.n_points))

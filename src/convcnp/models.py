@@ -29,10 +29,19 @@ def _floor(raw):
     return SIGMA_FLOOR_WEIGHT * SIGMA_MIN + (1.0 - SIGMA_FLOOR_WEIGHT) * raw
 
 
-def _floor_sigma(sigma: ad.Node) -> ad.Node:
-    """:func:`_floor` as one node."""
-    scale = 1.0 - SIGMA_FLOOR_WEIGHT
-    return ad.Node(_floor(sigma.value), (sigma,), lambda g, i: g * scale, op="floor_sigma")
+def head(out: ad.Node, floor: bool) -> ad.Node:
+    """Raw output rows as means over deviations, one node: softplus on the lower
+    half of the rows, then :func:`_floor` with ``floor``.  The vjp adds 0.0, so a
+    -0.0 in the gradient of ``out`` leaves as 0.0."""
+    dim_y = len(out.value) // 2
+    sigma, slope = ad.softplus(out.value[dim_y:])
+
+    def vjp(g, i):  # the floor's vjp, then the softplus's
+        g_sigma = g[dim_y:] * (1.0 - SIGMA_FLOOR_WEIGHT) if floor else g[dim_y:]
+        return np.concatenate([g[:dim_y], g_sigma * slope]) + 0.0
+
+    value = np.concatenate([out.value[:dim_y], _floor(sigma) if floor else sigma])
+    return ad.Node(value, (out,), vjp, op="head")
 
 
 @dataclass(frozen=True)
@@ -121,14 +130,14 @@ def cnn_forward(
 
 @dataclass
 class Predictive:
-    """Per-target Gaussian means and deviations of a batch of tasks, as graph nodes.
+    """Per-target Gaussian means and deviations of a batch of tasks, as one node.
 
-    ``mu`` and ``sigma`` are (dim_y, sum M) nodes with the tasks' targets laid
-    end to end: task k's are the columns ``offsets[k]:offsets[k + 1]``.
+    ``out`` is (2 dim_y, sum M), dim_y mean rows over dim_y deviation rows, with
+    the tasks' targets end to end: task k's are the columns ``offsets[k]:offsets[k + 1]``.
+    ``mu`` and ``sigma`` view its halves, and ``mean`` and ``std`` their transposes.
     """
 
-    mu: ad.Node
-    sigma: ad.Node
+    out: ad.Node
     offsets: tuple  # B + 1 column boundaries, from 0 to sum M
 
     def __len__(self) -> int:
@@ -139,13 +148,20 @@ class Predictive:
         return slice(self.offsets[k], self.offsets[k + 1])
 
     @property
+    def mu(self) -> np.ndarray:
+        return self.out.value[: len(self.out.value) // 2]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.out.value[len(self.out.value) // 2 :]
+
+    @property
     def mean(self) -> np.ndarray:
-        """(sum M, dim_y) array of predictive means."""
-        return self.mu.value.T.copy()
+        return self.mu.T
 
     @property
     def std(self) -> np.ndarray:
-        return self.sigma.value.T.copy()
+        return self.sigma.T
 
 
 def _offsets(sizes) -> tuple:
@@ -165,10 +181,10 @@ def _target_rows(target_y, shape) -> np.ndarray:
 def batch_nll(pred: Predictive, targets) -> ad.Node:
     """Mean over tasks of each task's negative mean target log density.
 
-    One node whose parents are ``pred.mu`` and ``pred.sigma``.  The value sums
-    the per-task terms in task order, then scales by 1 / B.
+    One node whose parent is ``pred.out``.  The value sums the per-task terms
+    in task order, then scales by 1 / B.  The vjp adds 0.0, as :func:`head`'s does.
     """
-    mu, sigma = pred.mu.value, pred.sigma.value
+    mu, sigma = pred.mu, pred.sigma
     cols = [pred.task(k) for k in range(len(pred))]
     ys = [_target_rows(y, mu[:, c].shape) for y, c in zip(targets, cols, strict=True)]
     if not ys or min(y.size for y in ys) == 0:
@@ -176,13 +192,13 @@ def batch_nll(pred: Predictive, targets) -> ad.Node:
     terms = [-ad.gaussian_ll(y, mu[:, c], sigma[:, c]).mean() for y, c in zip(ys, cols)]
     scale = 1.0 / len(ys)
 
-    def vjp(g, i):  # ((g / B) * -1 / M) times d log N / d mu (or d sigma), task by task
+    def vjp(g, i):  # ((g / B) * -1 / M) times d log N / d mu and d sigma, task by task
         return np.concatenate([
-            ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, mu[:, c], sigma[:, c], i)
+            ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, mu[:, c], sigma[:, c])
             for y, c in zip(ys, cols)
-        ], axis=1)
+        ], axis=1) + 0.0
 
-    return ad.Node(sum(terms[1:], terms[0]) * scale, (pred.mu, pred.sigma), vjp, op="batch_nll")
+    return ad.Node(sum(terms[1:], terms[0]) * scale, (pred.out,), vjp, op="batch_nll")
 
 
 def nll_loss(pred: Predictive, target_y) -> ad.Node:
@@ -196,7 +212,7 @@ def task_log_likelihood(pred: Predictive, k: int, target_y) -> float:
     Raises DiffError where ``batch_nll`` does: on targets that do not fit the
     task's predictions, a non-positive sigma or a log density that is not finite.
     """
-    mu, sigma = pred.mu.value[:, pred.task(k)], pred.sigma.value[:, pred.task(k)]
+    mu, sigma = pred.mu[:, pred.task(k)], pred.sigma[:, pred.task(k)]
     lp = ad.gaussian_ll(_target_rows(target_y, mu.shape), mu, sigma)
     if not np.all(np.isfinite(lp)):
         raise ad.DiffError("non-finite log density")
@@ -209,14 +225,10 @@ def decode(h: ad.Node, grids, cols, target_xs, log_length_scale: ad.Node,
 
     ``h`` holds dim_y mean channels, then dim_y that softplus makes positive;
     the deviations are floored after the readout.  The node stacks the means
-    over the deviations, and a ``narrow`` hands each half to the ``Predictive``.
-    The vjp adds the tasks' log-length-scale gradients in task order, and 0.0
-    to the gradient of ``h``, as the narrows that took each task's columns did.
+    over the deviations.  The vjp adds the tasks' log-length-scale gradients in
+    task order, and 0.0 to the gradient of ``h``, as :func:`head`'s does.
     """
-    f_mu, pre = h.value[:dim_y], h.value[dim_y:]
-    with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709: sigmoid 0
-        sig = 1.0 / (1.0 + np.exp(-pre))
-    f_sigma = np.logaddexp(0.0, pre)
+    f_mu, (f_sigma, slope) = h.value[:dim_y], ad.softplus(h.value[dim_y:])
     bases = [learnable_psi_eval(log_length_scale.value, grid, x, grid_axis=0)
              for grid, x in zip(grids, target_xs)]
     offsets = _offsets(basis.shape[1] for basis, _ in bases)
@@ -236,11 +248,10 @@ def decode(h: ad.Node, grids, cols, target_xs, log_length_scale: ad.Node,
         dh = np.zeros_like(h.value)
         for c, basis, _, g_mu, g_sigma in tasks:
             dh[:dim_y, c], dh[dim_y:, c] = g_mu @ basis.T, g_sigma @ basis.T
-        dh[dim_y:] *= sig  # the softplus's vjp
+        dh[dim_y:] *= slope  # the softplus's vjp
         return dh + 0.0
 
-    out = ad.Node(value, (h, log_length_scale), vjp, op="decode")
-    return Predictive(ad.narrow(out, 0, 0, dim_y), ad.narrow(out, 0, dim_y, dim_y), offsets)
+    return Predictive(ad.Node(value, (h, log_length_scale), vjp, op="decode"), offsets)
 
 
 class ConvCNP:
@@ -331,15 +342,10 @@ class CNPBaseline:
         self.params = ad.ParameterStore(params)
 
     def _mlp(self, prefix, x, leaves):
-        h = x
         for i in range(1, 4):
-            h = ad.add(
-                ad.matmul(leaves[f"{prefix}.l{i}.weight"], h),
-                leaves[f"{prefix}.l{i}.bias"],
-            )
-            if i < 3:
-                h = ad.relu(h)
-        return h
+            x = ad.dense(leaves[f"{prefix}.l{i}.weight"], x, leaves[f"{prefix}.l{i}.bias"],
+                         relu=i < 3)
+        return x
 
     def forward(self, task: Task, leaves=None) -> Predictive:
         return self.forward_many([task], leaves)
@@ -377,27 +383,24 @@ class CNPBaseline:
         spread[np.repeat(np.arange(len(tasks)), n_tgt), np.arange(sum(n_tgt))] = 1.0
         tiled = ad.matmul(rep, ad.constant(spread))
         dec_in = ad.concat([ad.constant(np.concatenate(targets)[None, :]), tiled], axis=0)
-        out = self._mlp("dec", dec_in, leaves)
-        mu = ad.narrow(out, 0, 0, self.dim_y)
-        sigma = _floor_sigma(ad.softplus(ad.narrow(out, 0, self.dim_y, self.dim_y)))
-        return Predictive(mu, sigma, _offsets(n_tgt))
+        return Predictive(head(self._mlp("dec", dec_in, leaves), floor=True), _offsets(n_tgt))
 
 
 @dataclass
 class GridPredictive:
-    """Full-grid Gaussian prediction with the target mask attached."""
+    """Full-grid Gaussian prediction with the target mask attached.  ``out`` is
+    (2 C, ...): C mean channels over C deviation channels, viewed by ``mean`` and ``std``."""
 
-    mu: ad.Node  # (C, ...) same spatial shape as the input
-    sigma: ad.Node
+    out: ad.Node
     target_mask: np.ndarray
 
     @property
     def mean(self) -> np.ndarray:
-        return self.mu.value.copy()
+        return self.out.value[: len(self.out.value) // 2]
 
     @property
     def std(self) -> np.ndarray:
-        return self.sigma.value.copy()
+        return self.out.value[len(self.out.value) // 2 :]
 
 
 def _check_mask(mask, name, shape):
@@ -469,19 +472,17 @@ class ConvCNPOnGrid:
         h = self.encode(image, context_mask, leaves)
         h = ad.relu(cnn_forward(self.cnn, h, leaves, "cnn", padding="circular"))
         out = conv(h, leaves["head.weight"], leaves["head.bias"], padding="circular")
-        mu = ad.narrow(out, 0, 0, self.channels)
-        sigma = ad.softplus(ad.narrow(out, 0, self.channels, self.channels))
-        return GridPredictive(mu=mu, sigma=sigma, target_mask=target_mask)
+        return GridPredictive(head(out, floor=False), target_mask)
 
 
 def grid_nll_loss(pred: GridPredictive, image) -> ad.Node:
     """Negative mean log density over target-mask positions, as one node.
 
     The value sums the masked log densities, then scales by -1 / count; the
-    vjp scales the incoming gradient by -1 / count, then masks it.
+    vjp scales the incoming gradient by -1 / count, masks it, and adds 0.0.
     """
     image = np.asarray(image, float)
-    mu, sigma = pred.mu.value, pred.sigma.value
+    mu, sigma = pred.mean, pred.std
     if not image.shape == mu.shape == sigma.shape:
         raise ad.DiffError(
             f"grid_nll_loss: image {image.shape} does not fit predictions {mu.shape}"
@@ -494,7 +495,7 @@ def grid_nll_loss(pred: GridPredictive, image) -> ad.Node:
 
     def vjp(g, i):
         masked = np.broadcast_to(g * scale, image.shape).copy() * mask
-        return ad.gaussian_ll_grad(masked, image, mu, sigma, i)
+        return ad.gaussian_ll_grad(masked, image, mu, sigma) + 0.0
 
     value = (ad.gaussian_ll(image, mu, sigma) * mask).sum() * scale
-    return ad.Node(value, (pred.mu, pred.sigma), vjp, op="grid_nll_loss")
+    return ad.Node(value, (pred.out,), vjp, op="grid_nll_loss")

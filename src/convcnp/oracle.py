@@ -46,10 +46,10 @@ class GPOracle:
         self.kernel = kernel
 
     def forward_many(self, tasks) -> Predictive:
-        """One constant prediction for the batch, (1, sum M)."""
+        """One constant prediction for the batch: means over deviations, (2, sum M)."""
         means, stds = zip(*(
             gp_posterior_predict(self.kernel, t.context_x, t.context_y[:, 0], t.target_x)
             for t in tasks
         ))
-        return Predictive(constant(np.concatenate(means)[None]),
-                          constant(np.concatenate(stds)[None]), _offsets(map(len, means)))
+        return Predictive(constant([np.concatenate(means), np.concatenate(stds)]),
+                          _offsets(map(len, means)))

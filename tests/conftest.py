@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from convcnp import autodiff as ad
-from convcnp import models
 from convcnp.embedding import UniformGrid, divide_by_density, encode
-from convcnp.models import GridPredictive, Predictive, batch_nll, decode, grid_nll_loss
+from convcnp.models import GridPredictive, Predictive, batch_nll, decode, grid_nll_loss, head
 from reference_tape import reduce_sum
 
 
 PRIMITIVE_OPS = [
-    "add", "add-broadcast", "mul", "matmul", "conv1d", "conv2d", "relu",
-    "softplus", "encode", "decode", "abs", "concat", "narrow", "divide_by_density", "floor_sigma",
+    "add", "mul", "matmul", "dense", "dense-relu", "conv1d", "conv2d", "relu",
+    "encode", "decode", "head", "head-floored", "abs", "concat", "divide_by_density",
     "conv1d-circular", "conv2d-circular",
     "conv1d-depthwise", "conv2d-depthwise", "conv1d-relu-mask",
     "conv2d-separable-relu", "batch_nll", "grid_nll",
@@ -38,24 +37,31 @@ def primitive_case(op: str, seed: int):
     def smooth(shape, low=0.5, high=1.5):
         return rng.uniform(low, high, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
-    if op in ("add", "mul", "add-broadcast"):
-        # a (3, 1) bias over (3, 4), as the CNP adds it, reduces in the vjp
-        b_shape = (3, 1) if op == "add-broadcast" else (3, 4)
-        store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth(b_shape)})
-        fn = getattr(ad, op.split("-")[0])
+    if op in ("add", "mul"):
+        store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((3, 4))})
+        fn = getattr(ad, op)
         builder = lambda lv: reduce_sum(ad.mul(fn(lv["a"], lv["b"]), fn(lv["a"], lv["b"])))
-    elif op == "narrow":
-        store = ad.ParameterStore({"x": smooth((3, 5))})
-        builder = lambda lv: reduce_sum(
-            ad.mul(ad.narrow(lv["x"], 1, 1, 3), ad.narrow(lv["x"], 1, 2, 3))
-        )
-    elif op in ("divide_by_density", "floor_sigma"):
-        # divide_by_density: a density channel and two signal channels on a 2-D grid
+    elif op == "divide_by_density":
+        # a density channel and two signal channels on a 2-D grid
         x = smooth((3, 2, 4))
         x[0] = np.abs(x[0])
         store = ad.ParameterStore({"x": x})
-        fn = divide_by_density if op == "divide_by_density" else models._floor_sigma
-        builder = lambda lv: reduce_sum(ad.mul(fn(lv["x"]), fn(lv["x"])))
+        builder = lambda lv: reduce_sum(ad.mul(divide_by_density(lv["x"]),
+                                               divide_by_density(lv["x"])))
+    elif op in ("dense", "dense-relu"):
+        # a CNP layer: weights, five columns of inputs and a (C_out, 1) bias
+        store = ad.ParameterStore({"w": smooth((3, 4)), "x": smooth((4, 5)), "b": smooth((3, 1))})
+
+        def builder(lv):
+            c = ad.dense(lv["w"], lv["x"], lv["b"], relu=op == "dense-relu")
+            return reduce_sum(ad.mul(c, c))
+    elif op in ("head", "head-floored"):
+        # two mean rows over two raw deviation rows
+        store = ad.ParameterStore({"x": smooth((4, 5))})
+        weights = smooth((4, 5))
+        builder = lambda lv: reduce_sum(
+            ad.mul(head(lv["x"], floor=op == "head-floored"), ad.constant(weights))
+        )
     elif op == "matmul":
         store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((4, 2))})
         builder = lambda lv: reduce_sum(ad.matmul(lv["a"], lv["b"]))
@@ -67,9 +73,9 @@ def primitive_case(op: str, seed: int):
         def builder(lv):
             c = conv(lv["x"], lv["w"], lv["b"], padding=padding, groups=groups)
             return reduce_sum(ad.mul(c, c))
-    elif op in ("relu", "softplus", "abs"):
+    elif op in ("relu", "abs"):
         store = ad.ParameterStore({"x": smooth((3, 4))})
-        fn = {"relu": ad.relu, "softplus": ad.softplus, "abs": ad.absolute}[op]
+        fn = {"relu": ad.relu, "abs": ad.absolute}[op]
         weights = smooth((3, 4))
         builder = lambda lv: reduce_sum(ad.mul(fn(lv["x"]), ad.constant(weights)))
     elif op in ("encode", "decode"):
@@ -96,13 +102,12 @@ def primitive_case(op: str, seed: int):
             store = ad.ParameterStore({"h": h, "log_l": log_l})
             # the deviations sit near softplus(0) times the basis mass: small
             # weights keep their terms, and so the loss, small
-            weights = [smooth((2, sum(map(len, xs)))) for _ in range(2)]
-            weights[1] *= 1e-3
+            weights = smooth((4, sum(map(len, xs))))
+            weights[2:] *= 1e-3
 
             def builder(lv):
                 pred = decode(lv["h"], grids, cols, xs, lv["log_l"], 2)
-                return reduce_sum(ad.add(ad.mul(pred.mu, ad.constant(weights[0])),
-                                         ad.mul(pred.sigma, ad.constant(weights[1]))))
+                return reduce_sum(ad.mul(pred.out, ad.constant(weights)))
     elif op == "conv1d-relu-mask":
         # a hidden layer of the batched ConvCNP: conv, bias, ReLU and column
         # mask in one node
@@ -133,24 +138,24 @@ def primitive_case(op: str, seed: int):
             ad.mul(ad.concat([lv["a"], lv["b"]], axis=0), ad.constant(weights))
         )
     elif op == "batch_nll":
-        # three tasks of two outputs with different target counts
+        # three tasks of two outputs with different target counts: two mean rows
+        # over two deviation rows
         sizes = [3, 4, 2]
         ys = [smooth((m, 2)) for m in sizes]
         offsets = tuple(np.cumsum([0] + sizes).tolist())
-        store = ad.ParameterStore({"mu": smooth((2, 9)), "logsig": smooth((2, 9))})
-        builder = lambda lv: batch_nll(
-            Predictive(lv["mu"], ad.softplus(lv["logsig"]), offsets), ys
-        )
+        store = ad.ParameterStore({"out": np.concatenate([smooth((2, 9)), smooth((2, 9)) ** 2])})
+        builder = lambda lv: batch_nll(Predictive(lv["out"], offsets), ys)
     elif op == "grid_nll":
         # a 2-D image of two channels under a mixed target mask; squared, so the
         # loss's vjp receives a gradient other than 1
         image = smooth((2, 3, 4))
         mask = np.zeros((3, 4))
         mask.flat[rng.permutation(12)[:7]] = 1.0
-        store = ad.ParameterStore({"mu": smooth((2, 3, 4)), "logsig": smooth((2, 3, 4))})
+        store = ad.ParameterStore({"out": np.concatenate([smooth((2, 3, 4)),
+                                                          smooth((2, 3, 4)) ** 2])})
 
         def builder(lv):
-            pred = GridPredictive(lv["mu"], ad.softplus(lv["logsig"]), mask)
+            pred = GridPredictive(lv["out"], mask)
             loss = grid_nll_loss(pred, image)
             return ad.mul(loss, loss)
     else:

@@ -1,6 +1,6 @@
 """Reference tape compositions: the conv stack, the losses and the model stages op by op.
 
-These are the direct forms of eight rewrites in ``convcnp``, which must match
+These are the direct forms of ten rewrites in ``convcnp``, which must match
 them bit for bit:
 
 - padding with ``np.pad`` in both modes, and the last-axis window matrix
@@ -9,14 +9,19 @@ them bit for bit:
 - ``concat``'s vjp as ``np.split`` of the whole gradient (``autodiff.concat``);
 - each hidden conv layer as conv, then ``relu``, then ``mul`` by the column
   mask, three nodes (``models.cnn_forward``);
+- each CNP layer as ``matmul``, an ``add`` of the bias and ``relu``
+  (``autodiff.dense``, in ``mlp``);
 - the batch loss as one Gaussian log density, mean and negation per task,
   summed by ``add`` and scaled by ``mul`` (``models.batch_nll``);
 - the on-grid loss as a Gaussian log density, ``mul`` by the target mask,
   ``reduce_sum`` and ``mul`` by -1 / count (``models.grid_nll_loss``);
 - the density division as two ``narrow``s, an ``add`` of DENSITY_EPS, a
   ``div`` and a ``concat`` (``embedding.divide_by_density``);
-- the deviation floor as a ``mul`` and an ``add`` of two constants
-  (``models._floor_sigma``);
+- the output head as two ``narrow``s of the raw rows, a softplus node, and
+  for the CNP the deviation floor, as one node (``floor_sigma_node``) or as a
+  ``mul`` and an ``add`` of two constants (``floor_sigma``) (``models.head``);
+- a model's output as two ``narrow``s, the means and the deviations, that the
+  losses read (``Predictive``, ``GridPredictive``);
 - the off-grid models task by task, with one ``PredictiveDistribution`` per
   task: the ConvCNP's ``psi`` and ``matmul`` nodes per task for the embedding,
   its ``concat`` with gap constants, and ``narrow``, ``psi``, ``matmul`` and
@@ -24,13 +29,17 @@ them bit for bit:
   task; and the loss over the list (``embedding.encode``, ``models.decode``,
   ``ConvCNP.forward_many``, ``CNPBaseline.forward_many``, ``models.batch_nll``).
 
-``reduce_sum``, ``gaussian_log_pdf`` and ``div`` are the primitives those
-forms were built from; the tests also use ``reduce_sum`` to make scalar losses.
-``windows`` and ``one_gemm_conv`` are the conv's earlier lowering: a window
-matrix over every spatial axis, and one matmul each for the value and both
-vjps.  The 1-D conv must still match it bit for bit.  ``backward`` is the
-reverse walk that keeps the whole tape (``autodiff.backward`` releases each
-node once its vjps have run); both must give the same gradients bit for bit.
+``add``, ``mul``, ``softplus`` and ``narrow`` are the nodes those forms were
+built from, as ``autodiff`` had them: ``add`` and ``mul`` broadcast, and their
+vjps sum a gradient back to each parent's shape.  ``reduce_sum``,
+``gaussian_log_pdf``, with ``gaussian_ll_grad`` for one parent at a time, and
+``div`` are primitives of the same kind; the tests
+also use ``reduce_sum`` to make scalar losses.  ``windows`` and
+``one_gemm_conv`` are the conv's earlier lowering: a window matrix over every
+spatial axis, and one matmul each for the value and both vjps.  The 1-D conv
+must still match it bit for bit.  ``backward`` is the reverse walk that keeps
+the whole tape (``autodiff.backward`` releases each node once its vjps have
+run); both must give the same gradients bit for bit.
 """
 
 from dataclasses import dataclass
@@ -42,6 +51,67 @@ from convcnp import embedding, models
 from convcnp.embedding import DENSITY_EPS, context_order, make_grid
 from convcnp.kernels import learnable_psi_eval
 from convcnp.models import KERNEL_SIZE, SIGMA_FLOOR_WEIGHT, SIGMA_MIN, Predictive
+
+
+def _check_same_shape(op, a, b):
+    if a.value.shape != b.value.shape and a.value.ndim != 0 and b.value.ndim != 0:
+        try:
+            np.broadcast_shapes(a.value.shape, b.value.shape)
+        except ValueError:
+            raise ad.DiffError(
+                f"op '{op}': incompatible shapes {a.value.shape} and {b.value.shape}"
+            ) from None
+
+
+def _unbroadcast(g, shape):
+    """Reduce a broadcasted gradient back to ``shape``."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b):
+    _check_same_shape("add", a, b)
+    return ad.Node(
+        a.value + b.value,
+        (a, b),
+        lambda g, i: _unbroadcast(g, (a, b)[i].value.shape),
+        op="add",
+    )
+
+
+def mul(a, b):
+    _check_same_shape("mul", a, b)
+    return ad.Node(
+        a.value * b.value,
+        (a, b),
+        lambda g, i: _unbroadcast(g * (b, a)[i].value, (a, b)[i].value.shape),
+        op="mul",
+    )
+
+
+def softplus(x):
+    with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709: sigmoid 0
+        sig = 1.0 / (1.0 + np.exp(-x.value))
+    return ad.Node(np.logaddexp(0.0, x.value), (x,), lambda g, i: g * sig, op="softplus")
+
+
+def narrow(x, axis, start, length):
+    """Slice ``length`` entries from ``start`` along ``axis``."""
+    index = [slice(None)] * x.value.ndim
+    index[axis] = slice(start, start + length)
+    index = tuple(index)
+
+    def vjp(g, i):
+        out = np.zeros_like(x.value)
+        out[index] = g
+        return out
+
+    return ad.Node(x.value[index], (x,), vjp, op="narrow")
 
 
 def pad(x, width, mode, op="conv"):
@@ -95,7 +165,7 @@ def conv_layer(x, w, bias, padding="zeros", groups=1, mask=None):
     """A hidden layer: conv with bias, ReLU, then the mask as a constant."""
     conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
     h = ad.relu(conv(x, w, bias, padding=padding, groups=groups))
-    return h if mask is None else ad.mul(h, ad.constant(mask))
+    return h if mask is None else mul(h, ad.constant(mask))
 
 
 def cnn_forward(spec, x, leaves, prefix, padding="zeros", mask=None):
@@ -124,6 +194,12 @@ def reduce_sum(x):
     return ad.Node(x.value.sum(), (x,), lambda g, i: np.broadcast_to(g, shape).copy(), op="sum")
 
 
+def gaussian_ll_grad(g, y, mu, sigma, i):
+    """``g`` times the derivative of ``ad.gaussian_ll`` in mu (i = 0) or sigma (i = 1)."""
+    z = (y - mu) / sigma
+    return g * z / sigma if i == 0 else g * (z**2 - 1.0) / sigma
+
+
 def gaussian_log_pdf(y, mu, sigma):
     """Elementwise log N(y; mu, sigma^2) with observations ``y`` held fixed."""
     y = np.asarray(y, dtype=np.float64)
@@ -134,7 +210,7 @@ def gaussian_log_pdf(y, mu, sigma):
         )
     return ad.Node(
         ad.gaussian_ll(y, mu.value, sigma.value), (mu, sigma),
-        lambda g, i: ad.gaussian_ll_grad(g, y, mu.value, sigma.value, i), op="gaussian_log_pdf",
+        lambda g, i: gaussian_ll_grad(g, y, mu.value, sigma.value, i), op="gaussian_log_pdf",
     )
 
 
@@ -182,7 +258,7 @@ def per_task_batch_nll(preds, targets):
 
     def vjp(g, i):
         p, y = preds[i // 2], ys[i // 2]
-        return ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, p.mu.value, p.sigma.value, i % 2)
+        return gaussian_ll_grad(g * scale * -1.0 / y.size, y, p.mu.value, p.sigma.value, i % 2)
 
     parents = [node for pred in preds for node in (pred.mu, pred.sigma)]
     return ad.Node(sum(terms[1:], terms[0]) * scale, parents, vjp, op="batch_nll")
@@ -196,22 +272,25 @@ def log_likelihood_per_point(pred, target_y):
 
 
 def split(pred):
-    """A batch ``Predictive`` as one ``PredictiveDistribution`` per task, by ``narrow``."""
+    """A batch ``Predictive`` as one ``PredictiveDistribution`` per task, by ``narrow``:
+    its means and its deviations, then each task's columns of them."""
+    dim_y = len(pred.out.value) // 2
+    mu, sigma = narrow(pred.out, 0, 0, dim_y), narrow(pred.out, 0, dim_y, dim_y)
     return [
         PredictiveDistribution(
-            ad.narrow(pred.mu, 1, pred.offsets[k], pred.offsets[k + 1] - pred.offsets[k]),
-            ad.narrow(pred.sigma, 1, pred.offsets[k], pred.offsets[k + 1] - pred.offsets[k]),
+            narrow(mu, 1, pred.offsets[k], pred.offsets[k + 1] - pred.offsets[k]),
+            narrow(sigma, 1, pred.offsets[k], pred.offsets[k + 1] - pred.offsets[k]),
         )
         for k in range(len(pred))
     ]
 
 
 def joined(preds):
-    """One ``Predictive`` over per-task predictions, by ``concat``, whose vjp hands
-    each task a view of the gradient."""
+    """One ``Predictive`` over per-task predictions, by ``concat``s, whose vjps hand
+    each task views of the gradient."""
     offsets = tuple(np.cumsum([0] + [p.mu.value.shape[1] for p in preds]).tolist())
-    return Predictive(ad.concat([p.mu for p in preds], axis=1),
-                      ad.concat([p.sigma for p in preds], axis=1), offsets)
+    rows = [ad.concat([getattr(p, a) for p in preds], axis=1) for a in ("mu", "sigma")]
+    return Predictive(ad.concat(rows, axis=0), offsets)
 
 
 def psi(log_length_scale, grid, xs, grid_axis):
@@ -258,19 +337,40 @@ def convcnp_forward_many(model, tasks, leaves):
 
 def readout(h, grids, starts, target_xs, log_length_scale, dim_y):
     """The ConvCNP's readout with ``narrow``, ``psi``, ``matmul`` and ``floor_sigma`` per task."""
-    f_mu = ad.narrow(h, 0, 0, dim_y)
-    f_sigma = ad.softplus(ad.narrow(h, 0, dim_y, dim_y))
+    f_mu = narrow(h, 0, 0, dim_y)
+    f_sigma = softplus(narrow(h, 0, dim_y, dim_y))
     preds = []
     for x, grid, start in zip(target_xs, grids, starts):
         basis = psi(log_length_scale, grid, x, grid_axis=0)
-        mu = ad.matmul(ad.narrow(f_mu, 1, start, grid.n_points), basis)
-        sigma = ad.matmul(ad.narrow(f_sigma, 1, start, grid.n_points), basis)
+        mu = ad.matmul(narrow(f_mu, 1, start, grid.n_points), basis)
+        sigma = ad.matmul(narrow(f_sigma, 1, start, grid.n_points), basis)
         preds.append(PredictiveDistribution(mu=mu, sigma=floor_sigma_node(sigma)))
     return preds
 
 
-def cnp_forward_many(model, tasks, leaves):
-    """``CNPBaseline.forward_many`` with two ``narrow``s per task."""
+def mlp(prefix, x, leaves):
+    """``CNPBaseline._mlp`` as ``matmul``, a broadcasting ``add`` of the (C, 1)
+    bias, and ``relu`` per layer."""
+    h = x
+    for i in range(1, 4):
+        h = add(ad.matmul(leaves[f"{prefix}.l{i}.weight"], h), leaves[f"{prefix}.l{i}.bias"])
+        if i < 3:
+            h = ad.relu(h)
+    return h
+
+
+def head(out, floor):
+    """``models.head`` as two ``narrow``s, a softplus node and, with ``floor``,
+    ``floor_sigma_node``: the means and the deviations."""
+    dim_y = len(out.value) // 2
+    sigma = softplus(narrow(out, 0, dim_y, dim_y))
+    return narrow(out, 0, 0, dim_y), floor(sigma) if floor else sigma
+
+
+def cnp_forward_many(model, tasks, leaves, floor=None):
+    """``CNPBaseline.forward_many`` with the layers of :func:`mlp`, the head of
+    :func:`head` floored by ``floor`` (``floor_sigma_node`` by default), and two
+    ``narrow``s per task."""
     inputs, targets, n_ctx, n_tgt = [], [], [], []
     for task in tasks:
         ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
@@ -285,7 +385,7 @@ def cnp_forward_many(model, tasks, leaves):
     if segments.size:
         average = np.zeros((segments.size, len(tasks)))
         average[np.arange(segments.size), segments] = 1.0 / np.asarray(n_ctx)[segments]
-        encoded = model._mlp("enc", ad.constant(np.concatenate(inputs, axis=1)), leaves)
+        encoded = mlp("enc", ad.constant(np.concatenate(inputs, axis=1)), leaves)
         rep = ad.matmul(encoded, ad.constant(average))
     else:
         rep = ad.constant(np.zeros((model.HIDDEN, len(tasks))))
@@ -293,12 +393,10 @@ def cnp_forward_many(model, tasks, leaves):
     spread[np.repeat(np.arange(len(tasks)), n_tgt), np.arange(sum(n_tgt))] = 1.0
     tiled = ad.matmul(rep, ad.constant(spread))
     dec_in = ad.concat([ad.constant(np.concatenate(targets)[None, :]), tiled], axis=0)
-    out = model._mlp("dec", dec_in, leaves)
-    mu = ad.narrow(out, 0, 0, model.dim_y)
-    sigma = floor_sigma_node(ad.softplus(ad.narrow(out, 0, model.dim_y, model.dim_y)))
+    mu, sigma = head(mlp("dec", dec_in, leaves), floor or floor_sigma_node)
     starts = np.cumsum([0] + n_tgt[:-1])
     return [
-        PredictiveDistribution(mu=ad.narrow(mu, 1, start, m), sigma=ad.narrow(sigma, 1, start, m))
+        PredictiveDistribution(mu=narrow(mu, 1, start, m), sigma=narrow(sigma, 1, start, m))
         for start, m in zip(starts, n_tgt)
     ]
 
@@ -311,7 +409,7 @@ def floor_sigma_node(sigma):
 
 def nll_loss(pred, target_y):
     lp = gaussian_log_pdf(_target_rows(pred, target_y), pred.mu, pred.sigma)
-    return ad.mul(reduce_mean(lp), ad.constant(np.asarray(-1.0)))
+    return mul(reduce_mean(lp), ad.constant(np.asarray(-1.0)))
 
 
 def mean_loss(losses):
@@ -331,6 +429,26 @@ def batch_nll(preds, targets):
     return mean_loss([nll_loss(p, y) for p, y in zip(preds, targets)])
 
 
+@dataclass
+class GridPrediction:
+    """A ``GridPredictive`` whose means and deviations are two nodes."""
+
+    mu: ad.Node
+    sigma: ad.Node
+    target_mask: np.ndarray
+
+
+def ongrid_forward(model, image, context_mask, target_mask, leaves):
+    """``ConvCNPOnGrid.forward`` with the head of :func:`head`, unfloored."""
+    image = np.asarray(image, float)
+    target_mask = models._check_mask(target_mask, "target_mask", image.shape[1:])
+    conv = ad.conv1d if model.ndim == 1 else ad.conv2d
+    h = model.encode(image, context_mask, leaves)
+    h = ad.relu(models.cnn_forward(model.cnn, h, leaves, "cnn", padding="circular"))
+    out = conv(h, leaves["head.weight"], leaves["head.bias"], padding="circular")
+    return GridPrediction(*head(out, floor=None), target_mask)
+
+
 def grid_nll_loss(pred, image):
     image = np.asarray(image, float)
     mask = pred.target_mask[None]
@@ -338,37 +456,37 @@ def grid_nll_loss(pred, image):
     if count == 0:
         raise ad.DiffError("grid_nll_loss: empty target mask")
     lp = gaussian_log_pdf(image, pred.mu, pred.sigma)
-    masked = ad.mul(lp, ad.constant(np.broadcast_to(mask, image.shape).copy()))
+    masked = mul(lp, ad.constant(np.broadcast_to(mask, image.shape).copy()))
     total = reduce_sum(masked)
-    return ad.mul(total, ad.constant(np.asarray(-1.0 / count)))
+    return mul(total, ad.constant(np.asarray(-1.0 / count)))
 
 
 def div(a, b):
     """Elementwise division.  No implicit epsilon: callers guard denominators."""
-    ad._check_same_shape("div", a, b)
+    _check_same_shape("div", a, b)
     return ad.Node(
         a.value / b.value,
         (a, b),
         lambda g, i: (
-            ad._unbroadcast(g / b.value, a.value.shape)
+            _unbroadcast(g / b.value, a.value.shape)
             if i == 0
-            else ad._unbroadcast(-g * a.value / b.value**2, b.value.shape)
+            else _unbroadcast(-g * a.value / b.value**2, b.value.shape)
         ),
         op="div",
     )
 
 
 def divide_by_density(channels):
-    density = ad.narrow(channels, 0, 0, 1)
-    signal = ad.narrow(channels, 0, 1, channels.value.shape[0] - 1)
-    normalized = div(signal, ad.add(density, ad.constant(np.asarray(DENSITY_EPS))))
+    density = narrow(channels, 0, 0, 1)
+    signal = narrow(channels, 0, 1, channels.value.shape[0] - 1)
+    normalized = div(signal, add(density, ad.constant(np.asarray(DENSITY_EPS))))
     return ad.concat([density, normalized], axis=0)
 
 
 def floor_sigma(sigma):
-    return ad.add(
+    return add(
         ad.constant(np.asarray(SIGMA_FLOOR_WEIGHT * SIGMA_MIN)),
-        ad.mul(ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)), sigma),
+        mul(ad.constant(np.asarray(1.0 - SIGMA_FLOOR_WEIGHT)), sigma),
     )
 
 

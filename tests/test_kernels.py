@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from convcnp import autodiff as ad
 from convcnp.embedding import UniformGrid, encode
+from convcnp.models import decode
 from convcnp.kernels import (
     DATA_KERNELS,
     EQ,
@@ -135,10 +136,21 @@ class TestLearnablePsi:
         assert ad.grad_check(builder, store, step=1e-6) < 1e-6
 
     def test_overflowing_inverse_length_scale_names_the_op(self):
-        # 1 / l^2 overflows to inf, and exp(-inf) = 0 would hide it
+        # 1 / l^2 overflows to inf, and exp(-inf) = 0 would hide it; the error
+        # names the stage that evaluates the basis, and the stage's parameter
         grid = UniformGrid(lower=0.5, spacing=0.5, n_points=2)
-        with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match="op 'psi'"):
-            learnable_psi_eval(np.asarray(-400.0), grid, [0.0], 1)
+        log_l = ad.constant(np.asarray(-400.0))
+        stages = {
+            "op 'encode': encoder.log_length_scale -400 overflows": lambda: encode(
+                [(np.array([0.0]), np.array([[1.0]]))], [grid], [slice(0, 2)], log_l
+            ),
+            "op 'decode': readout.log_length_scale -400 overflows": lambda: decode(
+                ad.constant(np.ones((2, 2))), [grid], [slice(0, 2)], [np.array([0.0])], log_l, 1
+            ),
+        }
+        for message, stage in stages.items():
+            with np.errstate(over="ignore"), pytest.raises(ad.DiffError, match=message):
+                stage()
 
     def test_one_tape_node(self):
         # the basis makes no node of its own: the stage that uses it is one node

@@ -9,6 +9,7 @@ from convcnp.models import (
     CnnSpec,
     ConvCNP,
     ConvCNPOnGrid,
+    GridPredictive,
     Predictive,
     batch_nll,
     grid_nll_loss,
@@ -176,7 +177,23 @@ class TestGradients:
 
 def one_task(mu, sigma):
     """A one-task prediction over (dim_y, M) arrays."""
-    return Predictive(ad.constant(mu), ad.constant(sigma), (0, np.shape(mu)[1]))
+    return Predictive(ad.constant(np.concatenate([mu, sigma])), (0, np.shape(mu)[1]))
+
+
+def test_predictions_are_views_of_one_node():
+    """A batch's ``mu`` and ``sigma`` are the halves of its node's rows, and ``mean``
+    and ``std`` their transposes; on a grid, ``mean`` and ``std`` are the halves."""
+    out = ad.constant(np.arange(12.0).reshape(4, 3))
+    pred = Predictive(out, (0, 1, 3))
+    half = out.value[:2], out.value[2:]
+    grid_out = ad.constant(np.arange(24.0).reshape(4, 2, 3))
+    grid = GridPredictive(grid_out, np.ones((2, 3)))
+    for view, base, want in [
+        (pred.mu, out, half[0]), (pred.sigma, out, half[1]),
+        (pred.mean, out, half[0].T), (pred.std, out, half[1].T),
+        (grid.mean, grid_out, grid_out.value[:2]), (grid.std, grid_out, grid_out.value[2:]),
+    ]:
+        assert np.shares_memory(view, base.value) and np.array_equal(view, want)
 
 
 class TestNLL:
@@ -218,7 +235,7 @@ class TestNLL:
     def test_task_log_likelihood_reads_the_tasks_columns(self):
         rng = np.random.default_rng(12)
         mu, sigma = rng.normal(size=(2, 7)), rng.uniform(0.5, 2.0, size=(2, 7))
-        pred = Predictive(ad.constant(mu), ad.constant(sigma), (0, 3, 7))
+        pred = Predictive(ad.constant(np.concatenate([mu, sigma])), (0, 3, 7))
         ys = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
         for k, (y, cols) in enumerate(zip(ys, (slice(0, 3), slice(3, 7)))):
             alone = one_task(mu[:, cols].copy(), sigma[:, cols].copy())
@@ -366,7 +383,7 @@ class TestForwardMany:
         a, b = model.forward(task), model.forward_many([task])
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
         # without parameter leaves nothing takes a gradient, so no tape is kept
-        assert a.mu._parents == () and b.mu._parents == () and b.sigma._parents == ()
+        assert a.out._parents == () and b.out._parents == ()
 
     @pytest.mark.parametrize(
         "model", [ConvCNP(gamma=32.0, init_seed=7), CNPBaseline(init_seed=7)],
@@ -375,7 +392,7 @@ class TestForwardMany:
     def test_context_permutation_inside_a_batch_is_bit_exact(self, model):
         tasks = [tiny_task(seed, n_ctx=9, n_tgt=4) for seed in (15, 16, 17)]
         base = model.forward_many(tasks)
-        assert base.mu._parents == () and base.sigma._parents == ()
+        assert base.out._parents == ()
         rng = np.random.default_rng(8)
         for _ in range(3):
             shuffled = []
@@ -435,7 +452,7 @@ class TestOnGrid:
         mask = (rng.random((8, 10)) < 0.4).astype(float)
         target = 1.0 - mask
         base = model.forward(image, mask, target)
-        assert base.mu._parents == () and base.sigma._parents == ()
+        assert base.out._parents == ()
         s1, s2 = 3, 5
         shifted = model.forward(
             np.roll(image, (s1, s2), axis=(1, 2)),

@@ -129,6 +129,74 @@ def test_conv1d_matches_the_one_gemm_lowering(case, padding, depthwise):
         assert_bits_equal(a, b)
 
 
+@pytest.mark.parametrize("padding", ["zeros", "circular"])
+def test_depthwise_conv1d_with_one_output_per_channel_matches_the_one_gemm_lowering(padding):
+    """The separable layers of ``ConvCNPOnGrid(ndim=1)``: a (C, 1, 5) kernel with C
+    groups.  Its flipped kernel reaches matmul as a strided view, and so does the
+    window matrix of the padded gradient; the view of the windows keeps numpy's
+    matmul outside BLAS whatever the kernel's layout, so the input gradient
+    matches the lowering that reshapes both as views, bit for bit."""
+    rng = np.random.default_rng(len(padding))
+    x, w, g = rng.normal(size=(16, 40)), rng.normal(size=(16, 1, 5)), rng.normal(size=(16, 40))
+    got = _layer_grads(lambda x, w: ad.conv1d(x, w, padding=padding, groups=16), [x, w], g)
+    want = ref.one_gemm_conv(x, w, padding, 16, g)
+    for a, b in zip((got[0], *got[1]), want, strict=True):
+        assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_dense_matches_matmul_add_relu(relu):
+    """A CNP layer as one node against ``matmul``, the broadcasting ``add`` of its
+    (C, 1) bias and ``relu``: the value and the gradients of all three parents.
+    A column of zero inputs leaves a pre-activation of exactly 0.0, which the
+    ReLU gates, and a column of the incoming gradient is -0.0."""
+    rng = np.random.default_rng(4 + relu)
+    arrays = [rng.normal(size=(5, 3)), rng.normal(size=(3, 7)), rng.normal(size=(5, 1))]
+    arrays[1][:, 2] = 0.0
+    arrays[2][1] = 0.0
+    g = rng.normal(size=(5, 7))
+    g[:, 4] = -0.0
+
+    def chain(w, x, b):
+        h = ref.add(ad.matmul(w, x), b)
+        return ad.relu(h) if relu else h
+
+    got = _layer_grads(lambda w, x, b: ad.dense(w, x, b, relu=relu), arrays, g)
+    want = _layer_grads(chain, arrays, g)
+    for a, b in zip((got[0], *got[1]), (want[0], *want[1]), strict=True):
+        assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_head_matches_the_narrow_softplus_chain(floor):
+    """``models.head`` against two ``narrow``s, a softplus node and, for the CNP,
+    the floor node: the value, and the gradient of the raw rows, sign bits
+    included.  Deviation rows of -800 saturate the softplus's slope to 0.0, so
+    the negative weights there make its vjp -0.0, which the narrows' zero-filled
+    sum turned into 0.0; some weights of the mean rows are -0.0 as well."""
+    rng = np.random.default_rng(3 + floor)
+    x = rng.normal(size=(4, 9))
+    x[2:, ::3] = -800.0
+    weights = -np.abs(rng.normal(size=(4, 9)))
+    weights[:2, 1::4] = -0.0
+    results = []
+    for staged in (True, False):
+        leaf = ad.Node(x, needs_grad=True)
+        if staged:
+            out = models.head(leaf, floor)
+            ad.backward(ref.reduce_sum(ad.mul(out, ad.constant(weights))))
+            value = out.value
+        else:
+            mu, sigma = ref.head(leaf, ref.floor_sigma_node if floor else None)
+            ad.backward(ad.add(ref.reduce_sum(ad.mul(mu, ad.constant(weights[:2]))),
+                               ref.reduce_sum(ad.mul(sigma, ad.constant(weights[2:])))))
+            value = np.concatenate([mu.value, sigma.value])
+        results.append([value, leaf.grad])
+    assert (results[0][1][2:, ::3] == 0).all() and (results[0][1][:2, 1::4] == 0).all()
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
+
+
 def test_concat_vjp_matches_np_split():
     rng = np.random.default_rng(5)
     arrays = [rng.normal(size=(3, n)) for n in (4, 1, 6)]
@@ -164,8 +232,40 @@ def test_batch_nll_matches_per_task_losses(n_tasks, dim_y, weight):
     for a, b in zip(grads, want_grads, strict=True):
         assert_bits_equal(a, b)
     if n_tasks == 1:
-        one = Predictive(*map(ad.constant, arrays), (0, sizes[0]))
+        one = Predictive(ad.constant(np.concatenate(arrays)), (0, sizes[0]))
         assert_bits_equal(nll_loss(one, ys[0]).value, value)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_losses_match_the_narrows_of_their_one_parent(grid):
+    """``batch_nll`` and ``grid_nll_loss`` over one node of means over deviations,
+    against the chains over two ``narrow``s of it: the loss and the node's
+    gradient, sign bits included.  A target equal to its mean, and on the grid
+    a position outside the target mask, gives a gradient of -0.0, which the
+    narrows' zero-filled sum turned into 0.0."""
+    rng = np.random.default_rng(7)
+    shape = (3, 5) if grid else (9,)
+    mean = rng.normal(size=(2,) + shape)
+    target = mean + rng.normal(size=mean.shape)
+    target.flat[::4] = mean.flat[::4]
+    out = np.concatenate([mean, rng.uniform(0.5, 2.0, size=mean.shape)])
+    mask = (rng.random(shape) < 0.6).astype(float)
+    results = []
+    for staged in (True, False):
+        leaf = ad.Node(out, needs_grad=True)
+        if grid and staged:
+            value = grid_nll_loss(GridPredictive(leaf, mask), target)
+        elif grid:
+            pred = ref.GridPrediction(ref.narrow(leaf, 0, 0, 2), ref.narrow(leaf, 0, 2, 2), mask)
+            value = ref.grid_nll_loss(pred, target)
+        else:  # two tasks; the reference splits the Predictive by narrow
+            ys = [target[:, :4].T, target[:, 4:].T]
+            value = (batch_nll if staged else ref.batch_nll)(Predictive(leaf, (0, 4, 9)), ys)
+        ad.backward(ad.mul(value, ad.constant(np.asarray(0.3))))
+        results.append([value.value, leaf.grad])
+    assert (results[0][1] == 0).any()
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
 
 
 def _grid_examples(rng, n, channels, shape):
@@ -182,10 +282,21 @@ def _grid_model(channels, ndim):
     return ConvCNPOnGrid(channels=channels, ndim=ndim, cnn=CnnSpec(channels=(3,)), init_seed=3)
 
 
-def _grid_batch_loss(model, batch, leaves, loss):
-    """One image's loss, or a batch's as ``perfbench``'s ``OnGrid`` composes it."""
-    losses = [loss(model.forward(img, ctx, tgt, leaves=leaves), img) for img, ctx, tgt in batch]
-    return losses[0] if len(losses) == 1 else ref.mean_loss(losses)
+def _grid_batch_loss(model, batch, leaves, staged=True):
+    """One image's loss, or a batch's as ``perfbench``'s ``OnGrid`` composes it,
+    and each image's means over deviations: from the model's forward and loss,
+    or from their op-by-op chains."""
+    losses, outs = [], []
+    for img, ctx, tgt in batch:
+        if staged:
+            pred = model.forward(img, ctx, tgt, leaves=leaves)
+            losses.append(grid_nll_loss(pred, img))
+            outs.append(pred.out.value)
+        else:
+            pred = ref.ongrid_forward(model, img, ctx, tgt, leaves)
+            losses.append(ref.grid_nll_loss(pred, img))
+            outs.append(np.concatenate([pred.mu.value, pred.sigma.value]))
+    return (losses[0] if len(losses) == 1 else ref.mean_loss(losses)), outs
 
 
 @pytest.mark.parametrize("ndim, shape", [(1, (11,)), (2, (5, 6))])
@@ -195,18 +306,17 @@ def _grid_batch_loss(model, batch, leaves, loss):
 def test_grid_nll_matches_the_four_node_chain(
     ndim, shape, channels, weight, n_images, monkeypatch
 ):
-    """The on-grid loss, and the density division of its encoder, against their chains."""
+    """The on-grid loss, its head, and the density division of its encoder,
+    against their chains: predictions, loss and every leaf gradient."""
     model = _grid_model(channels, ndim)
     batch = _grid_examples(np.random.default_rng(ndim + 7 * channels), n_images, channels, shape)
     results = []
-    for loss, divide in (
-        (models.grid_nll_loss, divide_by_density), (ref.grid_nll_loss, ref.divide_by_density)
-    ):
+    for staged, divide in ((True, divide_by_density), (False, ref.divide_by_density)):
         monkeypatch.setattr(models, "divide_by_density", divide)
         leaves = model.params.leaves()
-        value = _grid_batch_loss(model, batch, leaves, loss)
+        value, outs = _grid_batch_loss(model, batch, leaves, staged)
         ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
-        results.append([value.value] + [leaf.grad for leaf in leaves.values()])
+        results.append([value.value, *outs] + [leaf.grad for leaf in leaves.values()])
     for a, b in zip(*results, strict=True):
         assert_bits_equal(a, b)
 
@@ -214,12 +324,12 @@ def test_grid_nll_matches_the_four_node_chain(
 def test_grid_adam_steps_match_the_four_node_chain():
     batches = [_grid_examples(np.random.default_rng(k), 2, 1, (6, 5)) for k in range(3)]
     stores = []
-    for loss in (models.grid_nll_loss, ref.grid_nll_loss):
+    for staged in (True, False):
         model = _grid_model(1, 2)
         store = model.params
         for batch in batches:
             leaves = store.leaves()
-            ad.backward(_grid_batch_loss(model, batch, leaves, loss))
+            ad.backward(_grid_batch_loss(model, batch, leaves, staged)[0])
             store.accumulate(leaves)
             ad.adam_step(store, 1e-3)
         stores.append(store)
@@ -245,7 +355,7 @@ def test_grid_loss_adds_one_tape_node_per_image():
     leaves = model.params.leaves()
     preds = [model.forward(img, ctx, tgt, leaves=leaves) for img, ctx, tgt in batch]
     losses = [models.grid_nll_loss(p, img) for p, (img, _, _) in zip(preds, batch)]
-    forward = _tape_size([node for p in preds for node in (p.mu, p.sigma)])
+    forward = _tape_size([p.out for p in preds])
     assert _tape_size(losses) == forward + len(batch)
 
 
@@ -268,28 +378,32 @@ def test_density_node_matches_the_five_node_chain(shape):
 @pytest.mark.parametrize("kind", ["eq", "lotka-volterra", "cnp"])
 @pytest.mark.parametrize("weight", [1.0, 0.3])  # the gradient the loss receives
 def test_off_grid_models_match_the_op_by_op_stages(kind, weight, monkeypatch):
-    """Density division, and the CNP's deviation floor, against their chains,
-    on three tasks laid end to end with gap columns between their grids.  The
+    """The ConvCNP's density division, and the CNP's layers and head with its
+    deviation floor as a ``mul`` and an ``add``, against their chains, on
+    three tasks laid end to end with gap columns between their grids.  The
     ConvCNP floors inside ``decode``, pinned by the tests of the stages below."""
     dim_y = 2 if kind == "lotka-volterra" else 1
     process = ProcessSpec.default_for("eq" if kind == "cnp" else kind)
     tasks = [sample_task(process, seed) for seed in range(3)]
+    ys = [t.target_y for t in tasks]
     results = []
-    for divide, floor in (
-        (divide_by_density, models._floor_sigma), (ref.divide_by_density, ref.floor_sigma)
-    ):
-        monkeypatch.setattr(models, "divide_by_density", divide)
-        monkeypatch.setattr(models, "_floor_sigma", floor)
+    for staged in (True, False):
+        monkeypatch.setattr(models, "divide_by_density",
+                            divide_by_density if staged else ref.divide_by_density)
         if kind == "cnp":
             model = CNPBaseline(init_seed=1)
         else:
             model = ConvCNP(dim_y=dim_y, gamma=16.0, cnn=CnnSpec.small(dim_y), init_seed=4)
         leaves = model.params.leaves()
-        pred = model.forward_many(tasks, leaves=leaves)
-        value = batch_nll(pred, [t.target_y for t in tasks])
+        if staged or kind != "cnp":
+            pred = model.forward_many(tasks, leaves=leaves)
+            value, arrays = batch_nll(pred, ys), [pred.mu, pred.sigma]
+        else:
+            preds = ref.cnp_forward_many(model, tasks, leaves, floor=ref.floor_sigma)
+            value = ref.per_task_batch_nll(preds, ys)
+            arrays = [np.hstack([getattr(p, a).value for p in preds]) for a in ("mu", "sigma")]
         ad.backward(ad.mul(value, ad.constant(np.asarray(weight))))
-        results.append([value.value, pred.mu.value, pred.sigma.value]
-                       + [leaf.grad for leaf in leaves.values()])
+        results.append([value.value, *arrays] + [leaf.grad for leaf in leaves.values()])
     for a, b in zip(*results, strict=True):
         assert_bits_equal(a, b)
 
@@ -333,7 +447,7 @@ def test_freeing_walk_matches_the_keep_everything_walk(case):
         leaves = model.params.leaves()
         if kind is None:
             batch = _grid_examples(np.random.default_rng(5), 4, 1, (28, 28))
-            loss = _grid_batch_loss(model, batch, leaves, models.grid_nll_loss)
+            loss = _grid_batch_loss(model, batch, leaves)[0]
         else:
             tasks = [sample_task(ProcessSpec.default_for(kind), seed) for seed in range(4)]
             loss = batch_nll(model.forward_many(tasks, leaves=leaves), [t.target_y for t in tasks])
@@ -410,8 +524,7 @@ def test_stages_match_the_per_task_chains(case, n_tasks):
         if staged:
             pred = model.forward_many(tasks, leaves=leaves)
             loss = batch_nll(pred, ys)
-            arrays = [a[:, pred.task(k)] for k in range(n_tasks)
-                      for a in (pred.mu.value, pred.sigma.value)]
+            arrays = [a[:, pred.task(k)] for k in range(n_tasks) for a in (pred.mu, pred.sigma)]
         else:
             preds = _reference_forward(model, tasks, leaves)
             loss = ref.per_task_batch_nll(preds, ys)
@@ -430,7 +543,7 @@ def test_decode_matches_the_per_task_readout(dim_y, n_tasks):
     points reach past every target's window, where the basis is 0.0.  Below
     -709 the softplus's slope is 0.0, so negative weights make its vjp -0.0
     there, which the narrows of the per-task readout turned into 0.0.  Every
-    third weight of a later task is -0.0."""
+    third weight of a later task is -0.0, and reaches both sides as -0.0."""
     rng = np.random.default_rng(10 * dim_y + n_tasks)
     grids = [UniformGrid(lower=-2.0 + 20 * k, spacing=1 / 16, n_points=300 + 5 * k)
              for k in range(n_tasks)]
@@ -446,20 +559,22 @@ def test_decode_matches_the_per_task_readout(dim_y, n_tasks):
         leaves = [ad.Node(h, needs_grad=True), ad.Node(np.log(2 / 16), needs_grad=True)]
         if staged:
             pred = models.decode(leaves[0], grids, cols, target_xs, leaves[1], dim_y)
-            mu, sigma = pred.mu, pred.sigma
+            ad.backward(ref.reduce_sum(ad.mul(pred.out, ad.constant(np.concatenate(weights)))))
+            arrays = [pred.mu, pred.sigma]
         else:
             preds = ref.readout(leaves[0], grids, starts, target_xs, leaves[1], dim_y)
             mu, sigma = (ad.concat([getattr(p, a) for p in preds], axis=1) for a in ("mu", "sigma"))
-        ad.backward(ad.add(ref.reduce_sum(ad.mul(mu, ad.constant(weights[0]))),
-                           ref.reduce_sum(ad.mul(sigma, ad.constant(weights[1])))))
-        results.append([mu.value, sigma.value] + [leaf.grad for leaf in leaves])
+            ad.backward(ad.add(ref.reduce_sum(ad.mul(mu, ad.constant(weights[0]))),
+                               ref.reduce_sum(ad.mul(sigma, ad.constant(weights[1])))))
+            arrays = [mu.value, sigma.value]
+        results.append(arrays + [leaf.grad for leaf in leaves])
     assert (results[0][2] == 0).any()
     for a, b in zip(*results, strict=True):
         assert_bits_equal(a, b)
 
 
-_TAPE_NODES = {"convcnp-small-eq": 20, "convcnp-small-lv": 20, "convcnp-xl-sawtooth": 49,
-               "cnp": 40}
+_TAPE_NODES = {"convcnp-small-eq": 18, "convcnp-small-lv": 18, "convcnp-xl-sawtooth": 47,
+               "cnp": 27}
 
 
 @pytest.mark.parametrize("case", _OFF_GRID)
@@ -528,9 +643,9 @@ def test_evaluate_matches_the_per_task_scoring(case):
 
 
 class TestGridLossChecks:
-    def pred(self, target_mask):
-        mu = ad.Node(np.zeros((2, 3, 4)), needs_grad=True)
-        return GridPredictive(mu, ad.constant(np.ones((2, 3, 4))), target_mask)
+    def pred(self, target_mask, sigma=1.0):
+        out = np.concatenate([np.zeros((2, 3, 4)), np.full((2, 3, 4), sigma)])
+        return GridPredictive(ad.Node(out, needs_grad=True), target_mask)
 
     @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 3, 4), (2, 12)])
     def test_image_that_does_not_fit_the_prediction(self, shape):
@@ -542,8 +657,7 @@ class TestGridLossChecks:
             grid_nll_loss(self.pred(np.zeros((3, 4))), np.zeros((2, 3, 4)))
 
     def test_nonpositive_sigma(self):
-        pred = self.pred(np.ones((3, 4)))
-        pred.sigma = ad.constant(np.zeros((2, 3, 4)))
+        pred = self.pred(np.ones((3, 4)), sigma=0.0)
         with pytest.raises(ad.DiffError, match="sigma must be positive"):
             grid_nll_loss(pred, np.zeros((2, 3, 4)))
 
@@ -565,20 +679,18 @@ class TestNonFiniteNamesTheOp:
             conv(ad.constant(x), w, relu=True, mask=mask)
 
     def test_batch_loss(self):
-        mu = ad.Node(np.zeros((1, 6)), needs_grad=True)
-        sigma = np.ones((1, 6))
-        sigma[:, 3:] = 1e-200  # the second task's
-        pred = Predictive(mu, ad.constant(sigma), (0, 3, 6))
+        out = np.concatenate([np.zeros((1, 6)), np.ones((1, 6))])
+        out[1, 3:] = 1e-200  # the second task's deviations
+        pred = Predictive(ad.Node(out, needs_grad=True), (0, 3, 6))
         with np.errstate(over="ignore"), pytest.raises(
             ad.DiffError, match="op 'batch_nll' produced non-finite"
         ):
             batch_nll(pred, [np.ones(3), np.ones(3)])
 
     def test_grid_loss(self):
-        mu = ad.Node(np.zeros((1, 2, 3)), needs_grad=True)
-        sigma = np.ones((1, 2, 3))
-        sigma[0, 1, 2] = 1e-200
-        pred = GridPredictive(mu, ad.constant(sigma), np.ones((2, 3)))
+        out = np.concatenate([np.zeros((1, 2, 3)), np.ones((1, 2, 3))])
+        out[1, 1, 2] = 1e-200  # a deviation
+        pred = GridPredictive(ad.Node(out, needs_grad=True), np.ones((2, 3)))
         with np.errstate(over="ignore"), pytest.raises(
             ad.DiffError, match="op 'grid_nll_loss' produced non-finite"
         ):
