@@ -35,8 +35,8 @@ class Node:
     ``vjp(g, i)``, which returns the gradient for ``parents[i]``, until
     :func:`backward` has run that vjp and releases them and the gradient.
 
-    A leaf's ``grad`` accumulates across backward passes; callers reset it
-    explicitly (``adam_step`` zeroes parameter gradients after each update).
+    A leaf's ``grad`` accumulates across backward passes.  ``adam_step`` zeroes
+    ``store.grad``, not a leaf's; ``train`` builds fresh leaves at every step.
     It is allocated only when first read or reached by backward, so nodes
     that backward never reaches cost no buffer.  Every node keeps ``value``.
     """
@@ -94,11 +94,6 @@ def matmul(a: Node, b: Node) -> Node:
         lambda g, i: g @ b.value.T if i == 0 else a.value.T @ g,
         op="matmul",
     )
-
-
-def relu(x: Node) -> Node:
-    mask = x.value > 0
-    return Node(np.where(mask, x.value, 0.0), (x,), lambda g, i: g * mask, op="relu")
 
 
 def softplus(x: np.ndarray):
@@ -409,11 +404,19 @@ class ParameterStore:
 
     def leaves(self) -> dict[str, Node]:
         """Fresh parameter leaves sharing the current values; they take gradients."""
-        return {name: Node(p.value, needs_grad=True) for name, p in self._params.items()}
+        return self._nodes(needs_grad=True)
 
     def constants(self) -> dict[str, Node]:
         """Leaves sharing the current values that take no gradient, so keep no tape."""
-        return {name: Node(p.value) for name, p in self._params.items()}
+        return self._nodes(needs_grad=False)
+
+    def _nodes(self, needs_grad) -> dict[str, Node]:
+        """One node per parameter; a non-finite value is a DiffError that names it."""
+        try:
+            return {name: Node(p.value, needs_grad=needs_grad) for name, p in self._params.items()}
+        except DiffError:
+            bad = next(name for name, p in self._params.items() if not np.isfinite(p.value).all())
+            raise DiffError(f"parameter '{bad}' holds non-finite values") from None
 
     def accumulate(self, leaves: dict[str, Node]) -> None:
         """Add leaf gradients from a finished backward pass into the store."""
@@ -528,8 +531,8 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 
 def load_checkpoint(store: ParameterStore, path) -> None:
-    """Load a checkpoint; a malformed file, or one whose names or shapes do not
-    fit the store, raises a DiffError naming it, and writes nothing."""
+    """Load a checkpoint; a malformed file (a non-finite value included), or one whose
+    names or shapes do not fit the store, raises a DiffError naming it, and writes nothing."""
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -539,6 +542,9 @@ def load_checkpoint(store: ParameterStore, path) -> None:
                 entry["name"]: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
                 for entry in doc["params"]
             }
+            bad = [name for name, value in state.items() if not np.isfinite(value).all()]
+            if bad:
+                raise ValueError(f"parameter '{bad[0]}' holds non-finite values")
         except (KeyError, TypeError, ValueError) as err:
             raise DiffError(f"malformed checkpoint {path}: {type(err).__name__} {err}") from err
     try:

@@ -83,8 +83,8 @@ def _he_init(rng, shape, fan_in):
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-def _init_cnn_params(params: dict, prefix, spec: CnnSpec, in_channels: int, rng, ndim=1):
-    """Add a CnnSpec's conv weights and biases to ``params``, in layer order."""
+def _init_cnn_params(params: dict, spec: CnnSpec, in_channels: int, rng, ndim=1):
+    """Add a CnnSpec's conv weights and biases to ``params`` as ``cnn.l{i}.*``, in layer order."""
     kshape = (KERNEL_SIZE,) * ndim
     ksize = KERNEL_SIZE**ndim
     widths = {}  # layer index -> output channels, for skip bookkeeping
@@ -93,25 +93,26 @@ def _init_cnn_params(params: dict, prefix, spec: CnnSpec, in_channels: int, rng,
         if i in spec.skips:
             c_in = sum(widths[j] for j in spec.skips[i])
         if spec.separable:
-            params[f"{prefix}.l{i}.dw"] = _he_init(rng, (c_in, 1) + kshape, ksize)
-            params[f"{prefix}.l{i}.pw"] = _he_init(rng, (c_out, c_in) + (1,) * ndim, c_in)
+            params[f"cnn.l{i}.dw"] = _he_init(rng, (c_in, 1) + kshape, ksize)
+            params[f"cnn.l{i}.pw"] = _he_init(rng, (c_out, c_in) + (1,) * ndim, c_in)
         else:
-            params[f"{prefix}.l{i}.weight"] = _he_init(
+            params[f"cnn.l{i}.weight"] = _he_init(
                 rng, (c_out, c_in) + kshape, c_in * ksize
             )
-        params[f"{prefix}.l{i}.bias"] = np.zeros(c_out)
+        params[f"cnn.l{i}.bias"] = np.zeros(c_out)
         widths[i] = c_out
         c_in = c_out
 
 
 def cnn_forward(
-    spec: CnnSpec, x: ad.Node, leaves, prefix: str, padding="zeros", mask=None
+    spec: CnnSpec, x: ad.Node, leaves, padding="zeros", mask=None, last_relu=False
 ) -> ad.Node:
-    """Run the conv stack; ``x`` is channels-first (C, T) or (C, H, W).
+    """Run the ``cnn.*`` conv stack; ``x`` is channels-first (C, T) or (C, H, W).
 
     Each hidden layer is one conv node: conv, bias, ReLU, then ``mask``, a 0/1
     array that broadcasts against every hidden layer, so masked positions stay
     zero from layer to layer as they would in the zero padding of a separate signal.
+    With ``last_relu`` the last layer's node ends in a ReLU too, without the mask.
     """
     conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
     acts = {}
@@ -121,10 +122,10 @@ def cnn_forward(
         if i in spec.skips:
             h = ad.concat([acts[j] for j in spec.skips[i]], axis=0)
         if spec.separable:
-            h = conv(h, leaves[f"{prefix}.l{i}.dw"], padding=padding, groups=h.value.shape[0])
-        w = leaves[f"{prefix}.l{i}.pw" if spec.separable else f"{prefix}.l{i}.weight"]
-        gate = {"relu": True, "mask": mask} if i < n else {}
-        h = acts[i] = conv(h, w, leaves[f"{prefix}.l{i}.bias"], padding=padding, **gate)
+            h = conv(h, leaves[f"cnn.l{i}.dw"], padding=padding, groups=h.value.shape[0])
+        w = leaves[f"cnn.l{i}.pw" if spec.separable else f"cnn.l{i}.weight"]
+        gate = {"relu": True, "mask": mask} if i < n else {"relu": last_relu}
+        h = acts[i] = conv(h, w, leaves[f"cnn.l{i}.bias"], padding=padding, **gate)
     return h
 
 
@@ -168,14 +169,19 @@ def _offsets(sizes) -> tuple:
     return tuple(np.cumsum([0, *sizes]).tolist())
 
 
-def _target_rows(target_y, shape) -> np.ndarray:
-    """(M,) or (M, dim_y) targets in the (dim_y, M) layout of predictions of ``shape``."""
-    target_y = np.asarray(target_y, float)
-    if target_y.ndim == 1:
-        target_y = target_y[:, None]
-    if target_y.T.shape != shape:
-        raise ad.DiffError(f"targets {target_y.shape} do not fit predictions {shape}")
-    return target_y.T
+def task_log_densities(pred: Predictive, targets) -> list:
+    """Each task's target rows and their Gaussian log densities, both (dim_y, M) as
+    ``pred.mu`` is, in task order; a task's targets may be (M,) or (M, dim_y).  Raises
+    DiffError on an empty batch or target set, on targets that do not fit their
+    task's predictions, and on a non-positive sigma."""
+    cols = [pred.task(k) for k in range(len(pred))]
+    rows = [np.atleast_2d(np.asarray(y, float).T) for y in targets]
+    for y, c in zip(rows, cols, strict=True):
+        if y.shape != pred.mu[:, c].shape:
+            raise ad.DiffError(f"targets {y.T.shape} do not fit predictions {pred.mu[:, c].shape}")
+    if not rows or min(y.size for y in rows) == 0:
+        raise ad.DiffError("empty batch or target set")
+    return [(y, ad.gaussian_ll(y, pred.mu[:, c], pred.sigma[:, c])) for y, c in zip(rows, cols)]
 
 
 def batch_nll(pred: Predictive, targets) -> ad.Node:
@@ -184,18 +190,14 @@ def batch_nll(pred: Predictive, targets) -> ad.Node:
     One node whose parent is ``pred.out``.  The value sums the per-task terms
     in task order, then scales by 1 / B.  The vjp adds 0.0, as :func:`head`'s does.
     """
-    mu, sigma = pred.mu, pred.sigma
-    cols = [pred.task(k) for k in range(len(pred))]
-    ys = [_target_rows(y, mu[:, c].shape) for y, c in zip(targets, cols, strict=True)]
-    if not ys or min(y.size for y in ys) == 0:
-        raise ad.DiffError("batch_nll: empty batch or target set")
-    terms = [-ad.gaussian_ll(y, mu[:, c], sigma[:, c]).mean() for y, c in zip(ys, cols)]
+    ys, lps = zip(*task_log_densities(pred, targets))
+    terms = [-lp.mean() for lp in lps]
     scale = 1.0 / len(ys)
 
     def vjp(g, i):  # ((g / B) * -1 / M) times d log N / d mu and d sigma, task by task
         return np.concatenate([
-            ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, mu[:, c], sigma[:, c])
-            for y, c in zip(ys, cols)
+            ad.gaussian_ll_grad(g * scale * -1.0 / y.size, y, pred.mu[:, c], pred.sigma[:, c])
+            for y, c in zip(ys, map(pred.task, range(len(pred))))
         ], axis=1) + 0.0
 
     return ad.Node(sum(terms[1:], terms[0]) * scale, (pred.out,), vjp, op="batch_nll")
@@ -204,19 +206,6 @@ def batch_nll(pred: Predictive, targets) -> ad.Node:
 def nll_loss(pred: Predictive, target_y) -> ad.Node:
     """Negative mean Gaussian log density of the targets under a one-task ``pred``."""
     return batch_nll(pred, [target_y])
-
-
-def task_log_likelihood(pred: Predictive, k: int, target_y) -> float:
-    """Mean Gaussian log density per target point of task k, from the predicted arrays.
-
-    Raises DiffError where ``batch_nll`` does: on targets that do not fit the
-    task's predictions, a non-positive sigma or a log density that is not finite.
-    """
-    mu, sigma = pred.mu[:, pred.task(k)], pred.sigma[:, pred.task(k)]
-    lp = ad.gaussian_ll(_target_rows(target_y, mu.shape), mu, sigma)
-    if not np.all(np.isfinite(lp)):
-        raise ad.DiffError("non-finite log density")
-    return float(lp.mean())
 
 
 def decode(h: ad.Node, grids, cols, target_xs, log_length_scale: ad.Node,
@@ -283,7 +272,7 @@ class ConvCNP:
             "readout.log_length_scale": init_log_length_scale(self.gamma),
         }
         rng = make_rng(init_seed, 0xC0)
-        _init_cnn_params(params, "cnn", self.cnn, 1 + dim_y, rng, ndim=1)
+        _init_cnn_params(params, self.cnn, 1 + dim_y, rng, ndim=1)
         self.params = ad.ParameterStore(params)
 
     def forward(self, task: Task, leaves=None) -> Predictive:
@@ -312,7 +301,7 @@ class ConvCNP:
         for c in cols:
             mask[:, c] = 1.0
         # the division is elementwise, and a gap's 0 / eps stays 0
-        h = cnn_forward(self.cnn, divide_by_density(signal), leaves, "cnn", mask=mask)
+        h = cnn_forward(self.cnn, divide_by_density(signal), leaves, mask=mask)
         return decode(h, grids, cols, [t.target_x for t in tasks],
                       leaves["readout.log_length_scale"], self.dim_y)
 
@@ -436,7 +425,7 @@ class ConvCNPOnGrid:
         rng = make_rng(init_seed, 0xC2)
         kshape = (1, 1) + (KERNEL_SIZE,) * ndim
         params = {"encoder.weight": np.abs(_he_init(rng, kshape, KERNEL_SIZE**ndim))}
-        _init_cnn_params(params, "cnn", self.cnn, 1 + channels, rng, ndim=ndim)
+        _init_cnn_params(params, self.cnn, 1 + channels, rng, ndim=ndim)
         head_shape = (2 * channels, self.cnn.channels[-1]) + (1,) * ndim
         params["head.weight"] = _he_init(rng, head_shape, self.cnn.channels[-1])
         params["head.bias"] = np.zeros(2 * channels)
@@ -470,7 +459,7 @@ class ConvCNPOnGrid:
         target_mask = _check_mask(target_mask, "target_mask", image.shape[1:])
         conv = ad.conv1d if self.ndim == 1 else ad.conv2d
         h = self.encode(image, context_mask, leaves)
-        h = ad.relu(cnn_forward(self.cnn, h, leaves, "cnn", padding="circular"))
+        h = cnn_forward(self.cnn, h, leaves, padding="circular", last_relu=True)
         out = conv(h, leaves["head.weight"], leaves["head.bias"], padding="circular")
         return GridPredictive(head(out, floor=False), target_mask)
 

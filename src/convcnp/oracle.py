@@ -6,7 +6,7 @@ import numpy as np
 
 from .autodiff import constant
 from .kernels import cholesky_with_jitter, gram
-from .models import Predictive, _offsets, task_log_likelihood
+from .models import Predictive, _offsets, task_log_densities
 
 VARIANCE_CLAMP = 1e-12
 
@@ -36,7 +36,8 @@ def gp_posterior_predict(kernel, context_x, context_y, xs):
 
 def gp_task_ll(kernel, task) -> float:
     """Mean log density of a task's targets under the exact posterior."""
-    return task_log_likelihood(GPOracle(kernel).forward_many([task]), 0, task.target_y)
+    [(_, lp)] = task_log_densities(GPOracle(kernel).forward_many([task]), [task.target_y])
+    return float(lp.mean())
 
 
 class GPOracle:

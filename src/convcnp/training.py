@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .models import batch_nll, nll_loss, task_log_likelihood
+from .models import batch_nll, task_log_densities
 from .synthdata import ProcessSpec, check_settings, sample_task
 
 
@@ -88,28 +88,31 @@ def standard_error(a) -> float:
 _EVAL_CHUNK = 8  # tasks per batched forward in evaluate
 
 
+def _scores(pred, targets):
+    """Each task's (mean target log likelihood, MSE); a non-finite log likelihood is a DiffError."""
+    scores = [(lp.mean(), np.mean((pred.mean[pred.task(k)] - y.T) ** 2))  # as pred.mean: (M, dim_y)
+              for k, (y, lp) in enumerate(task_log_densities(pred, targets))]
+    if not np.isfinite([ll for ll, _ in scores]).all():
+        raise ad.DiffError("non-finite log density")
+    return scores
+
+
 def evaluate(model, tasks) -> EvalSummary:
     """Per-task mean target log likelihood and mean prediction error.
 
     Tasks go through ``forward_many`` in chunks, without parameter leaves,
-    so no tape is kept.  A task that cannot be scored raises a DiffError
-    naming its index and seed.
+    so no tape is kept.  A task that cannot be predicted or scored raises a
+    DiffError naming its index and seed.
     """
     if not tasks:
         raise ValueError("evaluate: no tasks")
-    lls, mses = [], []
+    scores = []
     for i in range(0, len(tasks), _EVAL_CHUNK):
         chunk = tasks[i : i + _EVAL_CHUNK]
-        pred = model.forward_many(chunk)
-        mean = pred.mean
-        for k, task in enumerate(chunk):
-            try:
-                lls.append(task_log_likelihood(pred, k, task.target_y))
-            except ad.DiffError as err:
-                raise ad.DiffError(f"evaluate: task {i + k} (seed {task.seed}): {err}") from err
-            mses.append(float(np.mean((mean[pred.task(k)] - task.target_y) ** 2)))
-    lls = np.asarray(lls)
-    mses = np.asarray(mses)
+        scores += _score_or_name_task(model, chunk, _scores, lambda k, cause: ad.DiffError(
+            f"evaluate: task {i + k} (seed {chunk[k].seed}): {cause}" if k is not None
+            else f"evaluate: tasks {i} to {i + len(chunk) - 1}: {cause}"))
+    lls, mses = map(np.array, zip(*scores))
     return EvalSummary(
         n_tasks=len(tasks),
         mean_ll=float(lls.mean()),
@@ -146,11 +149,10 @@ def train(model, config: TrainConfig, process: ProcessSpec):
             tasks = [sample_task(process, seed) for seed in seeds]
             counter += config.batch_size
             leaves = store.leaves()
-            try:
-                pred = model.forward_many(tasks, leaves=leaves)
-                batch_loss = batch_nll(pred, [t.target_y for t in tasks])
-            except ad.DiffError as err:
-                _raise_naming_task(model, tasks, epoch, err)
+            batch_loss = _score_or_name_task(model, tasks, batch_nll, lambda k, cause: RuntimeError(
+                f"non-finite loss at epoch {epoch}, "
+                + (f"task seed {seeds[k]}" if k is not None else f"task seeds {seeds}")
+                + f": {cause}"), leaves=leaves)
             ad.backward(batch_loss)
             store.accumulate(leaves)
             ad.adam_step(store, config.lr, config.weight_decay)
@@ -176,15 +178,16 @@ def train(model, config: TrainConfig, process: ProcessSpec):
     return log, best_state, last_state
 
 
-def _raise_naming_task(model, tasks, epoch, err):
-    """A batch failed as a whole: name the first of its tasks that fails alone."""
-    for task in tasks:
-        try:
-            nll_loss(model.forward(task), task.target_y)
-        except ad.DiffError as task_err:
-            raise RuntimeError(
-                f"non-finite loss at epoch {epoch}, task seed {task.seed}: {task_err}"
-            ) from task_err
-    raise RuntimeError(
-        f"non-finite loss at epoch {epoch}, task seeds {[t.seed for t in tasks]}: {err}"
-    ) from err
+def _score_or_name_task(model, tasks, score, error, **forward):
+    """Return ``score(model.forward_many(tasks, **forward), targets)``.  If that raises a
+    DiffError, re-run the tasks one by one through ``forward_many([task])`` and raise
+    ``error(k, cause)`` for the first task k that fails alone, or ``error(None, cause)``."""
+    try:
+        return score(model.forward_many(tasks, **forward), [t.target_y for t in tasks])
+    except ad.DiffError as err:
+        for k, task in enumerate(tasks):
+            try:
+                score(model.forward_many([task]), [task.target_y])
+            except ad.DiffError as task_err:
+                raise error(k, task_err) from task_err
+        raise error(None, err) from err

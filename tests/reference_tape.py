@@ -8,7 +8,8 @@ them bit for bit:
   ``_windows``);
 - ``concat``'s vjp as ``np.split`` of the whole gradient (``autodiff.concat``);
 - each hidden conv layer as conv, then ``relu``, then ``mul`` by the column
-  mask, three nodes (``models.cnn_forward``);
+  mask, three nodes (``models.cnn_forward``), and the on-grid CNN's last
+  layer as conv, then ``relu`` (its ``last_relu``, in ``ongrid_forward``);
 - each CNP layer as ``matmul``, an ``add`` of the bias and ``relu``
   (``autodiff.dense``, in ``mlp``);
 - the batch loss as one Gaussian log density, mean and negation per task,
@@ -29,9 +30,9 @@ them bit for bit:
   task; and the loss over the list (``embedding.encode``, ``models.decode``,
   ``ConvCNP.forward_many``, ``CNPBaseline.forward_many``, ``models.batch_nll``).
 
-``add``, ``mul``, ``softplus`` and ``narrow`` are the nodes those forms were
-built from, as ``autodiff`` had them: ``add`` and ``mul`` broadcast, and their
-vjps sum a gradient back to each parent's shape.  ``reduce_sum``,
+``add``, ``mul``, ``relu``, ``softplus`` and ``narrow`` are the nodes those
+forms were built from, as ``autodiff`` had them: ``add`` and ``mul`` broadcast,
+and their vjps sum a gradient back to each parent's shape.  ``reduce_sum``,
 ``gaussian_log_pdf``, with ``gaussian_ll_grad`` for one parent at a time, and
 ``div`` are primitives of the same kind; the tests
 also use ``reduce_sum`` to make scalar losses.  ``windows`` and
@@ -92,6 +93,11 @@ def mul(a, b):
         lambda g, i: _unbroadcast(g * (b, a)[i].value, (a, b)[i].value.shape),
         op="mul",
     )
+
+
+def relu(x):
+    mask = x.value > 0
+    return ad.Node(np.where(mask, x.value, 0.0), (x,), lambda g, i: g * mask, op="relu")
 
 
 def softplus(x):
@@ -164,23 +170,23 @@ def concat(nodes, axis=0):
 def conv_layer(x, w, bias, padding="zeros", groups=1, mask=None):
     """A hidden layer: conv with bias, ReLU, then the mask as a constant."""
     conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
-    h = ad.relu(conv(x, w, bias, padding=padding, groups=groups))
+    h = relu(conv(x, w, bias, padding=padding, groups=groups))
     return h if mask is None else mul(h, ad.constant(mask))
 
 
-def cnn_forward(spec, x, leaves, prefix, padding="zeros", mask=None):
+def cnn_forward(spec, x, leaves, padding="zeros", mask=None):
     conv = ad.conv1d if x.value.ndim == 2 else ad.conv2d
     acts = {}
     h = x
     for i in range(1, spec.n_layers + 1):
         if i in spec.skips:
             h = concat([acts[j] for j in spec.skips[i]], axis=0)
-        bias = leaves[f"{prefix}.l{i}.bias"]
+        bias = leaves[f"cnn.l{i}.bias"]
         if spec.separable:
-            h = conv(h, leaves[f"{prefix}.l{i}.dw"], padding=padding, groups=h.value.shape[0])
-            w = leaves[f"{prefix}.l{i}.pw"]
+            h = conv(h, leaves[f"cnn.l{i}.dw"], padding=padding, groups=h.value.shape[0])
+            w = leaves[f"cnn.l{i}.pw"]
         else:
-            w = leaves[f"{prefix}.l{i}.weight"]
+            w = leaves[f"cnn.l{i}.weight"]
         if i < spec.n_layers:
             h = conv_layer(h, w, bias, padding, mask=mask)
         else:
@@ -330,7 +336,7 @@ def convcnp_forward_many(model, tasks, leaves):
         for start, n in zip(starts, sizes):
             mask[:, start : start + n] = 1.0
     signal = embedding.divide_by_density(signal)
-    h = models.cnn_forward(model.cnn, signal, leaves, "cnn", mask=mask)
+    h = models.cnn_forward(model.cnn, signal, leaves, mask=mask)
     return readout(h, grids, starts, [t.target_x for t in tasks],
                    leaves["readout.log_length_scale"], model.dim_y)
 
@@ -355,7 +361,7 @@ def mlp(prefix, x, leaves):
     for i in range(1, 4):
         h = add(ad.matmul(leaves[f"{prefix}.l{i}.weight"], h), leaves[f"{prefix}.l{i}.bias"])
         if i < 3:
-            h = ad.relu(h)
+            h = relu(h)
     return h
 
 
@@ -444,7 +450,7 @@ def ongrid_forward(model, image, context_mask, target_mask, leaves):
     target_mask = models._check_mask(target_mask, "target_mask", image.shape[1:])
     conv = ad.conv1d if model.ndim == 1 else ad.conv2d
     h = model.encode(image, context_mask, leaves)
-    h = ad.relu(models.cnn_forward(model.cnn, h, leaves, "cnn", padding="circular"))
+    h = relu(models.cnn_forward(model.cnn, h, leaves, padding="circular"))
     out = conv(h, leaves["head.weight"], leaves["head.bias"], padding="circular")
     return GridPrediction(*head(out, floor=None), target_mask)
 

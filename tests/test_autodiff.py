@@ -175,39 +175,56 @@ def test_every_op_on_a_training_tape_has_a_primitive_case(model):
     assert {_CASE_OF_OP.get(op, op) for op in ops} - {"const"} <= checked
 
 
-def _autodiff_names_used(path):
-    """Names a module takes from ``convcnp.autodiff``: attributes of the module
-    under any alias, and names imported from it."""
+def _package_uses(path, modules):
+    """The (module, function) pairs of ``convcnp`` that a file uses: attributes of
+    a package module under any alias, names imported from one and then read, and,
+    in a package module, its own top-level names read outside their own body."""
     tree = ast.parse(path.read_text())
-    aliases, used = set(), set()
+    aliases, imported = {}, {}  # local name -> module, and -> (module, name)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
             for alias in node.names:
-                if alias.name == "autodiff":  # from . import autodiff as ad
-                    aliases.add(alias.asname or alias.name)
-                elif (node.module or "").endswith("autodiff"):  # from .autodiff import x
-                    used.add(alias.name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
-            used.add(node.attr)
+                local = alias.asname or alias.name
+                if node.module in (None, "convcnp") and alias.name in modules:
+                    aliases[local] = alias.name  # from . import autodiff as ad
+                elif source in modules:  # from .models import batch_nll
+                    imported[local] = (source, alias.name)
+    own = path.stem if path.parent.name == "convcnp" else None
+    used = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                used.add((aliases[node.value.id], node.attr))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported:
+                    used.add(imported[node.id])
+                elif own and getattr(stmt, "name", None) != node.id:
+                    used.add((own, node.id))
     return used
 
 
-def test_every_public_autodiff_function_has_a_caller():
-    """A public module-level function of ``convcnp.autodiff`` that neither the
-    package's other modules nor ``perfbench`` use has no place in the package."""
+def test_every_public_function_has_a_caller():
+    """A public module-level function of ``convcnp`` that neither the package
+    nor ``perfbench`` calls has no place in the package."""
     root = Path(__file__).resolve().parents[1]
-    autodiff = root / "src" / "convcnp" / "autodiff.py"
-    defined = {node.name for node in ast.parse(autodiff.read_text()).body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    users = {name: set() for name in defined}
-    for path in [*(root / "src" / "convcnp").glob("*.py"), *(root / "perfbench").glob("*.py")]:
-        if path != autodiff:
-            for name in _autodiff_names_used(path) & defined:
-                users[name].add(path.parent.name)
-    assert [name for name, where in users.items() if not where] == []
-    # kept for perfbench's mean_loss, which adds the per-task losses and scales the sum
-    assert {name for name, where in users.items() if where == {"perfbench"}} == {"add", "mul"}
+    package = sorted((root / "src" / "convcnp").glob("*.py"))
+    modules = {path.stem for path in package}
+    users = {
+        (path.stem, node.name): set() for path in package for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    for path in [*package, *(root / "perfbench").glob("*.py")]:
+        for use in _package_uses(path, modules) & users.keys():
+            users[use].add("perfbench" if path.parent.name == "perfbench" else "src")
+    assert [use for use, where in users.items() if not where] == []
+    # kept for perfbench: its mean_loss adds per-task losses and scales the sum,
+    # its oracle check scores one task at a time, and its on-grid workload
+    # takes the loss of each image
+    assert {use for use, where in users.items() if where == {"perfbench"}} == {
+        ("autodiff", "add"), ("autodiff", "mul"), ("oracle", "gp_task_ll"),
+        ("models", "grid_nll_loss"),
+    }
 
 
 def test_shape_mismatch_names_op_and_shapes():
@@ -328,6 +345,14 @@ class TestAdam:
         params["b"].value[...] = 2.0
         np.testing.assert_array_equal(store.value[6:10], 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_parameter_is_named(self, bad):
+        store = ad.ParameterStore({"w": np.ones((2, 3)), "b": np.zeros(4)})
+        dict(store.items())["b"].value[2] = bad
+        for nodes in (store.leaves, store.constants):
+            with pytest.raises(ad.DiffError, match="parameter 'b' holds non-finite values"):
+                nodes()
+
 
 class TestGradCheck:
     def test_linear_graph(self):
@@ -381,6 +406,21 @@ class TestCheckpoint:
         other = ad.ParameterStore({"other.weight": np.zeros((2, 3))})
         with pytest.raises(ad.DiffError):
             ad.load_checkpoint(other, path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_a_malformed_checkpoint(self, tmp_path, bad):
+        store = self.make_store()
+        before = store.value.copy()
+        path = tmp_path / "ckpt.json"
+        ad.save_checkpoint(store, path)
+        doc = json.loads(path.read_text())
+        doc["params"][1]["data"][1] = bad  # json writes NaN, Infinity and -Infinity
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ad.DiffError, match=(
+            r"malformed checkpoint \S*ckpt.json: .*parameter 'layer.bias' holds non-finite values"
+        )):
+            ad.load_checkpoint(store, path)
+        np.testing.assert_array_equal(store.value, before)
 
     def test_a_failed_load_writes_nothing(self, tmp_path):
         store = self.make_store()

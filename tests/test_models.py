@@ -14,7 +14,7 @@ from convcnp.models import (
     batch_nll,
     grid_nll_loss,
     nll_loss,
-    task_log_likelihood,
+    task_log_densities,
 )
 from convcnp.synthdata import ProcessSpec, Task, sample_task
 
@@ -213,37 +213,55 @@ class TestNLL:
         with pytest.raises(ad.DiffError):
             nll_loss(pred, np.zeros((0, 1)))
 
-    def test_task_log_likelihood_matches_nll(self):
+    def test_task_log_densities_match_nll(self):
         model = small_model()
         task = tiny_task(11, n_ctx=4, n_tgt=5)
         pred = model.forward(task)
-        ll = task_log_likelihood(pred, 0, task.target_y)
-        assert ll == -float(nll_loss(pred, task.target_y).value)
+        [(rows, lp)] = task_log_densities(pred, [task.target_y])
+        np.testing.assert_array_equal(rows, task.target_y.T)
+        assert lp.shape == pred.mu.shape
+        assert float(lp.mean()) == -float(nll_loss(pred, task.target_y).value)
 
-    def test_task_log_likelihood_rejects_what_nll_rejects(self):
+    def test_task_log_densities_reject_what_nll_rejects(self):
         ones = np.ones((1, 3))
         cases = [
-            (one_task(0 * ones, 0 * ones), np.ones(3)),  # non-positive sigma
-            (one_task(0 * ones, 1e-200 * ones), np.ones(3)),  # density overflows
-            (one_task(0 * ones, ones), np.ones((3, 2))),  # targets do not fit
+            (one_task(0 * ones, 0 * ones), np.ones(3), "sigma must be positive"),
+            (one_task(0 * ones, ones), np.ones((3, 2)), "do not fit"),
+            (one_task(np.zeros((1, 0)), np.zeros((1, 0))), np.zeros(0), "empty"),
         ]
-        for p, y in cases:
-            for loss in (lambda p, y: task_log_likelihood(p, 0, y), nll_loss):
-                with np.errstate(over="ignore"), pytest.raises(ad.DiffError):
-                    loss(p, y)
+        for p, y, message in cases:
+            for score in (lambda p, y: task_log_densities(p, [y]), nll_loss):
+                with pytest.raises(ad.DiffError, match=message):
+                    score(p, y)
+        with pytest.raises(ad.DiffError, match="empty batch"):
+            task_log_densities(Predictive(ad.constant(np.zeros((2, 0))), (0,)), [])
 
-    def test_task_log_likelihood_reads_the_tasks_columns(self):
+    def test_an_overflowing_density_is_left_to_its_caller(self):
+        # the loss node names itself; evaluate checks the log likelihood it reads
+        ones = np.ones((1, 3))
+        pred = one_task(0 * ones, 1e-200 * ones)
+        with np.errstate(over="ignore"):
+            [(_, lp)] = task_log_densities(pred, [np.ones(3)])
+            assert np.isneginf(lp).all()
+            with pytest.raises(ad.DiffError, match="op 'batch_nll' produced non-finite"):
+                nll_loss(pred, np.ones(3))
+
+    def test_task_log_densities_read_each_tasks_columns(self):
         rng = np.random.default_rng(12)
         mu, sigma = rng.normal(size=(2, 7)), rng.uniform(0.5, 2.0, size=(2, 7))
         pred = Predictive(ad.constant(np.concatenate([mu, sigma])), (0, 3, 7))
         ys = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
+        scored = task_log_densities(pred, ys)
         for k, (y, cols) in enumerate(zip(ys, (slice(0, 3), slice(3, 7)))):
             alone = one_task(mu[:, cols].copy(), sigma[:, cols].copy())
-            assert task_log_likelihood(pred, k, y) == task_log_likelihood(alone, 0, y)
+            [(rows, lp)] = task_log_densities(alone, [y])
+            np.testing.assert_array_equal(rows, y.T)
+            np.testing.assert_array_equal(scored[k][0], rows)
+            np.testing.assert_array_equal(scored[k][1], lp)
             np.testing.assert_array_equal(pred.mean[pred.task(k)], alone.mean)
         assert len(pred) == 2
         with pytest.raises(ad.DiffError, match="do not fit"):
-            task_log_likelihood(pred, 1, ys[0])
+            task_log_densities(pred, ys[::-1])
 
 
 class TestCNPBaseline:
@@ -289,7 +307,7 @@ def _per_task_and_batched(model, tasks):
         if batched:
             pred = model.forward_many(tasks, leaves=leaves)
             preds = [(pred.mean[pred.task(k)], pred.std[pred.task(k)]) for k in range(len(tasks))]
-            losses = [-task_log_likelihood(pred, k, y) for k, y in enumerate(ys)]
+            losses = [-float(lp.mean()) for _, lp in task_log_densities(pred, ys)]
             ad.backward(batch_nll(pred, ys))
         else:
             alone = [model.forward(t, leaves=leaves) for t in tasks]

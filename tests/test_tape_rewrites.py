@@ -159,7 +159,7 @@ def test_dense_matches_matmul_add_relu(relu):
 
     def chain(w, x, b):
         h = ref.add(ad.matmul(w, x), b)
-        return ad.relu(h) if relu else h
+        return ref.relu(h) if relu else h
 
     got = _layer_grads(lambda w, x, b: ad.dense(w, x, b, relu=relu), arrays, g)
     want = _layer_grads(chain, arrays, g)
@@ -359,6 +359,22 @@ def test_grid_loss_adds_one_tape_node_per_image():
     assert _tape_size(losses) == forward + len(batch)
 
 
+def test_the_on_grid_cnn_gates_its_last_conv_node():
+    """The ReLU after the on-grid CNN is its last conv node's gate: a 28x28
+    image's tape has 26 nodes, none of them a ``relu``."""
+    model = ConvCNPOnGrid(channels=1, ndim=2, init_seed=3)
+    img, ctx, tgt = _grid_examples(np.random.default_rng(2), 1, 1, (28, 28))[0]
+    loss = grid_nll_loss(model.forward(img, ctx, tgt, leaves=model.params.leaves()), img)
+    ops, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node.op)
+            stack.extend(node._parents)
+    assert len(ops) == 26 and "relu" not in ops
+
+
 @pytest.mark.parametrize("shape", [(2, 9), (3, 9), (4, 3, 5)])
 def test_density_node_matches_the_five_node_chain(shape):
     rng = np.random.default_rng(len(shape) + shape[0])
@@ -419,7 +435,7 @@ def test_cnn_forward_with_skips_matches_the_op_by_op_stack():
     for forward in (models.cnn_forward, ref.cnn_forward):
         leaves = model.params.leaves()
         signal = ad.Node(x, needs_grad=True)
-        out = forward(spec, signal, leaves, "cnn", mask=mask)
+        out = forward(spec, signal, leaves, mask=mask)
         ad.backward(ref.reduce_sum(ad.mul(out, out)))
         results.append([out.value, signal.grad] + [leaf.grad for leaf in leaves.values()])
     for a, b in zip(*results, strict=True):

@@ -116,6 +116,46 @@ class TestEvaluate:
         ):
             evaluate(tiny_model(), tasks)
 
+    @pytest.mark.parametrize("model, op", [(tiny_model(), "encode"), (CNPBaseline(), "dense")],
+                             ids=["convcnp", "cnp"])
+    def test_a_task_it_cannot_predict_is_named(self, model, op):
+        tasks = [sample_task(PROCESS, s) for s in range(100, 112)]
+        tasks[10] = replace(tasks[10], context_y=np.full_like(tasks[10].context_y, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ad.DiffError, match=rf"evaluate: task 10 \(seed 110\): op '{op}' produced non-finite"
+        ):
+            evaluate(model, tasks)
+
+    @pytest.mark.parametrize("model", [tiny_model(), CNPBaseline()], ids=["convcnp", "cnp"])
+    def test_one_dimensional_targets_score_as_their_column_twins(self, model):
+        tasks = self._tasks()
+        flat = [replace(t, target_y=t.target_y[:, 0]) for t in tasks]
+        columns, rows = evaluate(model, tasks), evaluate(model, flat)
+        np.testing.assert_array_equal(rows.per_task_mse, columns.per_task_mse)
+        np.testing.assert_array_equal(rows.per_task_ll, columns.per_task_ll)
+
+
+class _FailsOnlyInABatch:
+    """A model whose forward fails on a batch, while each task alone goes through."""
+
+    def __init__(self, model):
+        self.model, self.params = model, model.params
+
+    def forward_many(self, tasks, leaves=None):
+        if len(tasks) > 1:
+            raise ad.DiffError("op 'batched' produced non-finite values")
+        return self.model.forward_many(tasks, leaves)
+
+
+def test_a_batch_that_fails_only_as_a_whole_is_named_whole():
+    tasks = [sample_task(PROCESS, s) for s in range(100, 112)]
+    with pytest.raises(ad.DiffError, match=r"evaluate: tasks 0 to 7: op 'batched'"):
+        evaluate(_FailsOnlyInABatch(tiny_model()), tasks)
+    config = tiny_config(batch_size=3)
+    seeds = ", ".join(str(derive_seed(config.seed, 1, i)) for i in range(3))
+    with pytest.raises(RuntimeError, match=rf"epoch 0, task seeds \[{seeds}\]: op 'batched'"):
+        train(_FailsOnlyInABatch(tiny_model()), config, PROCESS)
+
 
 class TestTrain:
     def test_run_produces_log_and_states(self):
