@@ -83,19 +83,6 @@ def mul(a: Node, b: Node) -> Node:
     return Node(a.value * b.value, (a, b), lambda g, i: g * (b, a)[i].value, op="mul")
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise DiffError(
-            f"op 'matmul': incompatible shapes {a.value.shape} and {b.value.shape}"
-        )
-    return Node(
-        a.value @ b.value,
-        (a, b),
-        lambda g, i: g @ b.value.T if i == 0 else a.value.T @ g,
-        op="matmul",
-    )
-
-
 def softplus(x: np.ndarray):
     """log(1 + e^x) of an array, and its slope, the sigmoid of ``x``."""
     with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709: sigmoid 0

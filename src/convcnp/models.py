@@ -306,12 +306,31 @@ class ConvCNP:
                       leaves["readout.log_length_scale"], self.dim_y)
 
 
+def pool(encoded: ad.Node, counts, target_xs) -> ad.Node:
+    """The CNP decoder's input, as one node: each target's x over its task's mean
+    encoded context.  ``encoded`` holds the tasks' contexts end to end, task k's
+    ``counts[k]`` columns in :func:`context_order`; a task's mean sums only its own
+    columns, then divides by N, and an empty context pools to zeros.  The vjp
+    hands each of a task's columns its targets' summed gradients, divided by N."""
+    ctx, tgt = _offsets(counts), _offsets(map(len, target_xs))
+    n = np.maximum(counts, 1)
+
+    def means(x, offsets):  # column k: the sum of x's columns offsets[k]:offsets[k + 1], / n[k]
+        return np.stack([x[:, a:b].sum(axis=1) for a, b in zip(offsets, offsets[1:])], 1) / n
+
+    def vjp(g, i):
+        return np.repeat(means(g[1:], tgt), counts, axis=1)
+
+    rep = np.repeat(means(encoded.value, ctx), np.diff(tgt), axis=1)
+    return ad.Node(np.vstack([np.concatenate(target_xs), rep]), (encoded,), vjp, op="pool")
+
+
 class CNPBaseline:
     """Vanilla conditional neural process with mean pooling.
 
-    Encoder: 3-layer ReLU MLP (128 units) on each (x, y) pair, averaged
-    over the context set.  Decoder: same architecture on (x*, pooled),
-    emitting mean and pre-deviation channels.  The deviation is floored:
+    Encoder: 3-layer ReLU MLP (128 units) on each (x, y) pair, then :func:`pool`
+    takes each task's mean.  Decoder: same architecture on (x*, mean), emitting
+    mean and pre-deviation channels.  The deviation is floored:
     sigma = 0.1 * 0.1 + 0.9 * softplus(pre).
     """
 
@@ -340,39 +359,25 @@ class CNPBaseline:
         return self.forward_many([task], leaves)
 
     def forward_many(self, tasks, leaves=None) -> Predictive:
-        """One predictive for the batch, from one encoder and one decoder pass.
+        """One predictive for the batch: the encoder, :func:`pool` and the decoder.
 
         All context points go through the encoder together, each task's in
-        ``context_order``, so pooling is exactly permutation invariant.  A
-        fixed (sum N, B) averaging matrix takes the per-task means; an empty
-        context pools to zeros.  A 0/1 (B, sum M) matrix then hands each
-        target its task's representation.
+        ``context_order``, so pooling is exactly permutation invariant, and each
+        task's mean reads only its own columns.
         """
         if leaves is None:
             leaves = self.params.constants()
-        inputs, targets, n_ctx, n_tgt = [], [], [], []
+        inputs = []
         for task in tasks:
             ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
-            if ctx_x.size:
-                ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, -1)
-                order = context_order(ctx_x, ctx_y)
-                inputs.append(np.vstack([ctx_x[order][None, :], ctx_y[order].T]))
-            targets.append(np.atleast_1d(np.asarray(task.target_x, float)))
-            n_ctx.append(ctx_x.size)
-            n_tgt.append(targets[-1].size)
-        segments = np.repeat(np.arange(len(tasks)), n_ctx)
-        if segments.size:
-            average = np.zeros((segments.size, len(tasks)))
-            average[np.arange(segments.size), segments] = 1.0 / np.asarray(n_ctx)[segments]
-            encoded = self._mlp("enc", ad.constant(np.concatenate(inputs, axis=1)), leaves)
-            rep = ad.matmul(encoded, ad.constant(average))
-        else:
-            rep = ad.constant(np.zeros((self.HIDDEN, len(tasks))))
-        spread = np.zeros((len(tasks), sum(n_tgt)))
-        spread[np.repeat(np.arange(len(tasks)), n_tgt), np.arange(sum(n_tgt))] = 1.0
-        tiled = ad.matmul(rep, ad.constant(spread))
-        dec_in = ad.concat([ad.constant(np.concatenate(targets)[None, :]), tiled], axis=0)
-        return Predictive(head(self._mlp("dec", dec_in, leaves), floor=True), _offsets(n_tgt))
+            ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, self.dim_y)
+            order = context_order(ctx_x, ctx_y)
+            inputs.append(np.vstack([ctx_x[order], ctx_y[order].T]))
+        target_xs = [np.atleast_1d(np.asarray(t.target_x, float)) for t in tasks]
+        # one memory layout, which the encoder's GEMMs round by, whatever the contexts
+        encoded = self._mlp("enc", ad.constant(np.ascontiguousarray(np.hstack(inputs))), leaves)
+        out = self._mlp("dec", pool(encoded, [x.shape[1] for x in inputs], target_xs), leaves)
+        return Predictive(head(out, floor=True), _offsets(map(len, target_xs)))
 
 
 @dataclass

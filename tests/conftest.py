@@ -3,12 +3,14 @@ import pytest
 
 from convcnp import autodiff as ad
 from convcnp.embedding import UniformGrid, divide_by_density, encode
-from convcnp.models import GridPredictive, Predictive, batch_nll, decode, grid_nll_loss, head
+from convcnp.models import (
+    GridPredictive, Predictive, batch_nll, decode, grid_nll_loss, head, pool,
+)
 from reference_tape import reduce_sum
 
 
 PRIMITIVE_OPS = [
-    "add", "mul", "matmul", "dense", "dense-relu", "conv1d", "conv2d",
+    "add", "mul", "pool", "dense", "dense-relu", "conv1d", "conv2d",
     "encode", "decode", "head", "head-floored", "abs", "concat", "divide_by_density",
     "conv1d-circular", "conv2d-circular",
     "conv1d-depthwise", "conv2d-depthwise", "conv1d-relu-mask",
@@ -62,9 +64,21 @@ def primitive_case(op: str, seed: int):
         builder = lambda lv: reduce_sum(
             ad.mul(head(lv["x"], floor=op == "head-floored"), ad.constant(weights))
         )
-    elif op == "matmul":
-        store = ad.ParameterStore({"a": smooth((3, 4)), "b": smooth((4, 2))})
-        builder = lambda lv: reduce_sum(ad.matmul(lv["a"], lv["b"]))
+    elif op == "pool":
+        # two CNP batches of three-unit encodings: one whose contexts hold 1, 0,
+        # 4 and 3 points, and one whose contexts are all empty.  Each output
+        # meets a weight parameter, so the weights' gradients check the value.
+        batches = {"a": ([1, 0, 4, 3], [2, 3, 1, 4]), "b": ([0, 0], [2, 1])}
+        arrays, xs = {}, {}
+        for k, (counts, sizes) in batches.items():
+            arrays[f"h{k}"] = smooth((3, sum(counts)))
+            arrays[f"w{k}"] = smooth((4, sum(sizes)))
+            xs[k] = [rng.uniform(-2, 2, size=m) for m in sizes]
+        store = ad.ParameterStore(arrays)
+        builder = lambda lv: ad.add(*(
+            reduce_sum(ad.mul(pool(lv[f"h{k}"], counts, xs[k]), lv[f"w{k}"]))
+            for k, (counts, _) in batches.items()
+        ))
     elif op in _CONV_CASES:
         conv, x_shape, w_shape, padding, groups = _CONV_CASES[op]
         store = ad.ParameterStore(

@@ -1,6 +1,6 @@
 """Reference tape compositions: the conv stack, the losses and the model stages op by op.
 
-These are the direct forms of ten rewrites in ``convcnp``, which must match
+These are the direct forms of eleven rewrites in ``convcnp``, which must match
 them bit for bit:
 
 - padding with ``np.pad`` in both modes, and the last-axis window matrix
@@ -28,11 +28,17 @@ them bit for bit:
   its ``concat`` with gap constants, and ``narrow``, ``psi``, ``matmul`` and
   ``floor_sigma`` nodes per task for the readout; the CNP's two ``narrow``s per
   task; and the loss over the list (``embedding.encode``, ``models.decode``,
-  ``ConvCNP.forward_many``, ``CNPBaseline.forward_many``, ``models.batch_nll``).
+  ``ConvCNP.forward_many``, ``CNPBaseline.forward_many``, ``models.batch_nll``);
+- the CNP's pooling as a ``narrow`` of each task's encoded columns, their
+  ``column_mean`` and a ``spread`` over the task's targets, joined by two
+  ``concat``s under the target xs (``models.pool``).
 
-``add``, ``mul``, ``relu``, ``softplus`` and ``narrow`` are the nodes those
-forms were built from, as ``autodiff`` had them: ``add`` and ``mul`` broadcast,
-and their vjps sum a gradient back to each parent's shape.  ``reduce_sum``,
+``add``, ``mul``, ``matmul``, ``relu``, ``softplus`` and ``narrow`` are the
+nodes those forms were built from, as ``autodiff`` had them: ``add`` and ``mul``
+broadcast, and their vjps sum a gradient back to each parent's shape.
+``cnp_forward_many_matmul`` is the CNP's pooling before ``pool``: a ``matmul``
+by an averaging matrix and one by a 0/1 spread matrix.  It rounds differently,
+so the CNP matches it within 1e-12 relative, not bit for bit.  ``reduce_sum``,
 ``gaussian_log_pdf``, with ``gaussian_ll_grad`` for one parent at a time, and
 ``div`` are primitives of the same kind; the tests
 also use ``reduce_sum`` to make scalar losses.  ``windows`` and
@@ -92,6 +98,19 @@ def mul(a, b):
         (a, b),
         lambda g, i: _unbroadcast(g * (b, a)[i].value, (a, b)[i].value.shape),
         op="mul",
+    )
+
+
+def matmul(a, b):
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
+        raise ad.DiffError(
+            f"op 'matmul': incompatible shapes {a.value.shape} and {b.value.shape}"
+        )
+    return ad.Node(
+        a.value @ b.value,
+        (a, b),
+        lambda g, i: g @ b.value.T if i == 0 else a.value.T @ g,
+        op="matmul",
     )
 
 
@@ -315,7 +334,7 @@ def embed(context_x, context_y, grid, log_length_scale):
     context_y = context_y[order]
     basis = psi(log_length_scale, grid, context_x[order], grid_axis=1)  # (N, T)
     phi = np.concatenate([np.ones((1, len(context_y))), context_y.T])  # (1 + dim_y, N)
-    return ad.matmul(ad.constant(phi), basis)
+    return matmul(ad.constant(phi), basis)
 
 
 def convcnp_forward_many(model, tasks, leaves):
@@ -348,8 +367,8 @@ def readout(h, grids, starts, target_xs, log_length_scale, dim_y):
     preds = []
     for x, grid, start in zip(target_xs, grids, starts):
         basis = psi(log_length_scale, grid, x, grid_axis=0)
-        mu = ad.matmul(narrow(f_mu, 1, start, grid.n_points), basis)
-        sigma = ad.matmul(narrow(f_sigma, 1, start, grid.n_points), basis)
+        mu = matmul(narrow(f_mu, 1, start, grid.n_points), basis)
+        sigma = matmul(narrow(f_sigma, 1, start, grid.n_points), basis)
         preds.append(PredictiveDistribution(mu=mu, sigma=floor_sigma_node(sigma)))
     return preds
 
@@ -359,7 +378,7 @@ def mlp(prefix, x, leaves):
     bias, and ``relu`` per layer."""
     h = x
     for i in range(1, 4):
-        h = add(ad.matmul(leaves[f"{prefix}.l{i}.weight"], h), leaves[f"{prefix}.l{i}.bias"])
+        h = add(matmul(leaves[f"{prefix}.l{i}.weight"], h), leaves[f"{prefix}.l{i}.bias"])
         if i < 3:
             h = relu(h)
     return h
@@ -373,38 +392,80 @@ def head(out, floor):
     return narrow(out, 0, 0, dim_y), floor(sigma) if floor else sigma
 
 
-def cnp_forward_many(model, tasks, leaves, floor=None):
-    """``CNPBaseline.forward_many`` with the layers of :func:`mlp`, the head of
-    :func:`head` floored by ``floor`` (``floor_sigma_node`` by default), and two
-    ``narrow``s per task."""
-    inputs, targets, n_ctx, n_tgt = [], [], [], []
+def _cnp_inputs(model, tasks):
+    """Each task's (1 + dim_y, N) encoder inputs in ``context_order``, and its target xs."""
+    inputs, targets = [], []
     for task in tasks:
         ctx_x = np.atleast_1d(np.asarray(task.context_x, float))
-        if ctx_x.size:
-            ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, -1)
-            order = context_order(ctx_x, ctx_y)
-            inputs.append(np.vstack([ctx_x[order][None, :], ctx_y[order].T]))
+        ctx_y = np.asarray(task.context_y, float).reshape(ctx_x.size, model.dim_y)
+        order = context_order(ctx_x, ctx_y)
+        inputs.append(np.vstack([ctx_x[order][None, :], ctx_y[order].T]))
         targets.append(np.atleast_1d(np.asarray(task.target_x, float)))
-        n_ctx.append(ctx_x.size)
-        n_tgt.append(targets[-1].size)
+    return inputs, targets
+
+
+def _cnp_decode(dec_in, targets, leaves, floor):
+    """The decoder of :func:`mlp`, the head of :func:`head` floored by ``floor``
+    (``floor_sigma_node`` by default), and two ``narrow``s per task."""
+    mu, sigma = head(mlp("dec", dec_in, leaves), floor or floor_sigma_node)
+    starts = np.cumsum([0] + [len(x) for x in targets])
+    return [
+        PredictiveDistribution(mu=narrow(mu, 1, start, len(x)), sigma=narrow(sigma, 1, start, len(x)))
+        for start, x in zip(starts, targets)
+    ]
+
+
+def column_mean(x):
+    """The mean of ``x``'s columns, (C, 1): their sum, then / N, as ``models.pool`` takes it."""
+    n = x.value.shape[1]
+    return ad.Node(x.value.sum(axis=1, keepdims=True) / n, (x,),
+                   lambda g, i: np.broadcast_to(g / n, x.value.shape), op="column_mean")
+
+
+def spread(x, m):
+    """A (C, 1) column repeated over ``m`` columns; the vjp sums them."""
+    return ad.Node(np.repeat(x.value, m, axis=1), (x,),
+                   lambda g, i: g.sum(axis=1, keepdims=True), op="spread")
+
+
+def cnp_forward_many(model, tasks, leaves, floor=None):
+    """``CNPBaseline.forward_many`` with the encoder of :func:`mlp`, ``models.pool``
+    as a ``narrow``, :func:`column_mean` and :func:`spread` per task (zeros for an
+    empty context) joined by ``concat``s, and the decoder of :func:`_cnp_decode`."""
+    inputs, targets = _cnp_inputs(model, tasks)
+    encoded = mlp("enc", ad.constant(np.ascontiguousarray(np.hstack(inputs))), leaves)
+    starts = np.cumsum([0] + [x.shape[1] for x in inputs])
+    pooled = [
+        spread(column_mean(narrow(encoded, 1, start, x.shape[1])), len(t)) if x.shape[1]
+        else ad.constant(np.zeros((model.HIDDEN, len(t))))
+        for start, x, t in zip(starts, inputs, targets)
+    ]
+    dec_in = ad.concat([ad.constant(np.concatenate(targets)[None]), ad.concat(pooled, axis=1)])
+    return _cnp_decode(dec_in, targets, leaves, floor)
+
+
+def cnp_forward_many_matmul(model, tasks, leaves):
+    """``CNPBaseline.forward_many`` as it pooled before ``models.pool``: a ``matmul``
+    by a (sum N, B) averaging matrix, a ``matmul`` by a 0/1 (B, sum M) spread
+    matrix and a ``concat`` under the target xs."""
+    inputs, targets = _cnp_inputs(model, tasks)
+    n_ctx = [x.shape[1] for x in inputs]
     segments = np.repeat(np.arange(len(tasks)), n_ctx)
     if segments.size:
         average = np.zeros((segments.size, len(tasks)))
         average[np.arange(segments.size), segments] = 1.0 / np.asarray(n_ctx)[segments]
-        encoded = mlp("enc", ad.constant(np.concatenate(inputs, axis=1)), leaves)
-        rep = ad.matmul(encoded, ad.constant(average))
+        # the contexts' own layout: for dim_y 2 column-major, unless one is empty
+        nonempty = np.concatenate([x for x in inputs if x.shape[1]], axis=1)
+        encoded = mlp("enc", ad.constant(nonempty), leaves)
+        rep = matmul(encoded, ad.constant(average))
     else:
         rep = ad.constant(np.zeros((model.HIDDEN, len(tasks))))
-    spread = np.zeros((len(tasks), sum(n_tgt)))
-    spread[np.repeat(np.arange(len(tasks)), n_tgt), np.arange(sum(n_tgt))] = 1.0
-    tiled = ad.matmul(rep, ad.constant(spread))
+    n_tgt = [len(x) for x in targets]
+    ones = np.zeros((len(tasks), sum(n_tgt)))
+    ones[np.repeat(np.arange(len(tasks)), n_tgt), np.arange(sum(n_tgt))] = 1.0
+    tiled = matmul(rep, ad.constant(ones))
     dec_in = ad.concat([ad.constant(np.concatenate(targets)[None, :]), tiled], axis=0)
-    mu, sigma = head(mlp("dec", dec_in, leaves), floor or floor_sigma_node)
-    starts = np.cumsum([0] + n_tgt[:-1])
-    return [
-        PredictiveDistribution(mu=narrow(mu, 1, start, m), sigma=narrow(sigma, 1, start, m))
-        for start, m in zip(starts, n_tgt)
-    ]
+    return _cnp_decode(dec_in, targets, leaves, None)
 
 
 def floor_sigma_node(sigma):

@@ -35,6 +35,8 @@ from convcnp.synthdata import (
 from convcnp.training import TrainConfig, derive_seed, evaluate, train
 
 EQ_PROCESS = ProcessSpec("eq")
+# four times the training range of [-2, 2], and four times the points
+WIDE_EQ_PROCESS = ProcessSpec("eq", x_range=(-8.0, 8.0), n_context=(12, 200), n_target=(12, 200))
 DESK = TrainConfig.desk_scale(seed=0)
 
 
@@ -236,6 +238,21 @@ class TestCriterion6Extrapolation:
         )
         assert abs(conv_delta) <= 0.1
         assert cnp_delta < -0.5
+
+
+class TestZeroShotWideDomain:
+    def test_four_times_the_range(self, trained_convcnp, trained_cnp, eval_tasks):
+        """Models trained on [-2, 2], tested on [-8, 8] with four times the
+        points: 100 tasks drawn from the seeds of 100 in-range ones."""
+        tasks = eval_tasks[:100]
+        wide = [sample_task(WIDE_EQ_PROCESS, t.seed) for t in tasks]
+        lls = {name: (evaluate(model, tasks).mean_ll, evaluate(model, wide).mean_ll)
+               for name, model in (("convcnp", trained_convcnp[0]), ("cnp", trained_cnp[0]))}
+        report("zero-shot 1-D", ", ".join(
+            f"{name} {near:.3f} -> {far:.3f}" for name, (near, far) in lls.items()))
+        conv_delta, cnp_delta = (far - near for near, far in lls.values())
+        assert abs(conv_delta) <= 0.1
+        assert cnp_delta < min(conv_delta, -0.1)
 
 
 class TestCriterion7GPSamplerFidelity:

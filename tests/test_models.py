@@ -297,30 +297,20 @@ class TestCNPBaseline:
         )
 
 
-def _per_task_and_batched(model, tasks):
-    """Means and deviations, per-task losses and mean-loss gradients, task by
-    task and batched."""
-    results = []
+def _summed_gradients(model, tasks, batched):
+    """The mean loss's leaf gradients, from one batch or from the tasks' own losses
+    summed task by task."""
+    leaves = model.params.leaves()
     ys = [t.target_y for t in tasks]
-    for batched in (False, True):
-        leaves = model.params.leaves()
-        if batched:
-            pred = model.forward_many(tasks, leaves=leaves)
-            preds = [(pred.mean[pred.task(k)], pred.std[pred.task(k)]) for k in range(len(tasks))]
-            losses = [-float(lp.mean()) for _, lp in task_log_densities(pred, ys)]
-            ad.backward(batch_nll(pred, ys))
-        else:
-            alone = [model.forward(t, leaves=leaves) for t in tasks]
-            preds = [(p.mean, p.std) for p in alone]
-            nodes = [nll_loss(p, y) for p, y in zip(alone, ys)]
-            losses = [float(loss.value) for loss in nodes]
-            total = nodes[0]
-            for extra in nodes[1:]:
-                total = ad.add(total, extra)
-            ad.backward(ad.mul(total, ad.constant(np.asarray(1.0 / len(tasks)))))
-        grads = {name: leaf.grad for name, leaf in leaves.items()}
-        results.append((preds, losses, grads))
-    return results
+    if batched:
+        ad.backward(batch_nll(model.forward_many(tasks, leaves=leaves), ys))
+    else:
+        nodes = [nll_loss(model.forward(t, leaves=leaves), y) for t, y in zip(tasks, ys)]
+        total = nodes[0]
+        for extra in nodes[1:]:
+            total = ad.add(total, extra)
+        ad.backward(ad.mul(total, ad.constant(np.asarray(1.0 / len(tasks)))))
+    return {name: leaf.grad for name, leaf in leaves.items()}
 
 
 def _grid_lengths(model, tasks):
@@ -328,57 +318,83 @@ def _grid_lengths(model, tasks):
             for t in tasks}
 
 
-def _assert_batch_matches(model, tasks, tol=1e-12):
-    (alone, alone_loss, alone_grad), (batch, batch_loss, batch_grad) = (
-        _per_task_and_batched(model, tasks)
-    )
-    for a, b in zip(alone, batch, strict=True):
-        for x, y in zip(a, b):
-            assert x.shape == y.shape
-            if x.size:
-                assert np.max(np.abs(x - y)) <= tol * max(1.0, np.max(np.abs(x)))
-    for a, b in zip(alone_loss, batch_loss):
-        assert abs(a - b) <= tol * max(1.0, abs(a))
+_KINDS = ("eq", "matern", "weakly-periodic", "sawtooth")
+
+
+def _sixteen_tasks(kinds, seed):
+    """16 tasks of ``kinds`` in turn; the second has an empty context."""
+    tasks = [sample_task(ProcessSpec.default_for(kinds[k % len(kinds)]), seed + k)
+             for k in range(16)]
+    tasks[1] = Task(tasks[1].context_x[:0], tasks[1].context_y[:0], tasks[1].target_x,
+                    tasks[1].target_y)
+    return tasks
+
+
+# Batch invariance is not bit-exact: a GEMM rounds a column by how many columns
+# share the call, so a task's dense (and, rarely, conv) outputs move in the last
+# bits with its batch-mates.  Worst relative differences measured on these cases
+# with OpenBLAS at one and two threads: 4.0e-16 for the ConvCNP, 7.0e-15 for the
+# CNP, and 1.4e-15 for the gradients; each bound is under 10 times its worst.
+_BATCH_BOUND = {ConvCNP: 2e-15, CNPBaseline: 3e-14}
+_GRAD_BOUND = 1e-14
+
+
+def _assert_batch_matches(model, tasks):
+    """Each task alone against the same task in batches of 4 and of 16: its ``out``
+    columns and its log densities, within the model's bound times max(1, max |alone|).
+    The mean loss's gradients, batched against summed task by task, agree within
+    ``_GRAD_BOUND`` of each parameter's max |grad|."""
+    bound = _BATCH_BOUND[type(model)]
+    ys = [t.target_y for t in tasks]
+    alone = []
+    for task, y in zip(tasks, ys):
+        pred = model.forward(task)
+        alone.append((pred.out.value, task_log_densities(pred, [y])[0][1]))
+    for size in (4, 16):
+        for start in range(0, len(tasks), size):
+            pred = model.forward_many(tasks[start : start + size])
+            scored = task_log_densities(pred, ys[start : start + size])
+            for k, (_, lp) in enumerate(scored):
+                for a, b in zip(alone[start + k], (pred.out.value[:, pred.task(k)], lp)):
+                    assert a.shape == b.shape
+                    assert np.max(np.abs(a - b)) <= bound * max(1.0, np.max(np.abs(a)))
+    alone_grad, batch_grad = (_summed_gradients(model, tasks, b) for b in (False, True))
     for name, g in alone_grad.items():
-        scale = np.max(np.abs(g))
-        assert np.max(np.abs(batch_grad[name] - g)) <= tol * scale, name
+        assert np.max(np.abs(batch_grad[name] - g)) <= _GRAD_BOUND * np.max(np.abs(g)), name
 
 
 class TestForwardMany:
-    def test_convcnp_small_eq_matches_per_task(self):
-        process = ProcessSpec("eq", n_context=(0, 30), n_target=(1, 30))
-        tasks = [sample_task(process, seed) for seed in range(6)]
-        tasks.append(tasks[0].translated(7.3))  # far away: its own grid origin
+    def test_convcnp_small_matches_per_task(self):
+        tasks = _sixteen_tasks(_KINDS, seed=0)
+        tasks[3] = tasks[0].translated(7.3)  # far away: its own grid origin
         model = ConvCNP(gamma=32.0, init_seed=1)
         assert len(_grid_lengths(model, tasks)) > 1
         _assert_batch_matches(model, tasks)
 
     def test_convcnp_xl_sawtooth_matches_per_task(self):
-        process = ProcessSpec("sawtooth", n_context=(3, 10), n_target=(3, 10))
-        tasks = [sample_task(process, seed) for seed in range(3)]
-        tasks[1] = Task(
-            tasks[1].context_x * 0.5, tasks[1].context_y,
-            tasks[1].target_x * 0.5, tasks[1].target_y,
+        tasks = _sixteen_tasks(("sawtooth",), seed=0)
+        tasks[2] = Task(
+            tasks[2].context_x * 0.5, tasks[2].context_y,
+            tasks[2].target_x * 0.5, tasks[2].target_y,
         )  # a shorter grid
         model = ConvCNP(gamma=32.0, cnn=CnnSpec.xl(), init_seed=2)
-        assert len(_grid_lengths(model, tasks)) == 3
+        assert len(_grid_lengths(model, tasks)) > 1
         _assert_batch_matches(model, tasks)
 
     def test_lotka_volterra_two_outputs_with_an_empty_context(self):
-        tasks = [sample_task(ProcessSpec("lotka-volterra"), seed) for seed in range(3)]
-        no_ctx = Task(np.zeros(0), np.zeros((0, 2)), tasks[0].target_x, tasks[0].target_y)
+        tasks = _sixteen_tasks(("lotka-volterra",), seed=0)
         model = ConvCNP(dim_y=2, gamma=32.0, cnn=CnnSpec.small(2), init_seed=3)
-        pred = model.forward(no_ctx)
-        assert pred.mean.shape == (len(no_ctx.target_x), 2)
+        pred = model.forward(tasks[1])
+        assert pred.mean.shape == (len(tasks[1].target_x), 2)
         assert np.all(np.isfinite(pred.mean)) and np.all(pred.std > 0)
-        _assert_batch_matches(model, [tasks[0], no_ctx, tasks[1], tasks[2]])
+        _assert_batch_matches(model, tasks)
 
     def test_cnp_matches_per_task(self):
-        process = ProcessSpec("eq", n_context=(1, 20), n_target=(1, 20))
-        tasks = [sample_task(process, seed) for seed in range(5)]
-        tasks.insert(2, Task(np.zeros(0), np.zeros((0, 1)), tasks[0].target_x,
-                             tasks[0].target_y))
-        _assert_batch_matches(CNPBaseline(init_seed=4), tasks)
+        _assert_batch_matches(CNPBaseline(init_seed=4), _sixteen_tasks(_KINDS, seed=0))
+
+    def test_cnp_lotka_volterra_two_outputs_with_an_empty_context(self):
+        tasks = _sixteen_tasks(("lotka-volterra",), seed=0)
+        _assert_batch_matches(CNPBaseline(dim_y=2, init_seed=4), tasks)
 
     def test_cnp_empty_context_decodes_a_zero_representation(self):
         model = CNPBaseline(init_seed=5)

@@ -2,7 +2,9 @@
 
 Each rewrite must perform the same floating-point operations in the same
 order as the composition it replaces (``reference_tape.py``), so values and
-gradients are compared for exact equality, signed zeros included.
+gradients are compared for exact equality, signed zeros included.  The one
+exception is the CNP's ``pool`` against the two matmuls it replaced, whose sums
+round differently: it is held within 1e-12 relative.
 """
 
 from dataclasses import replace
@@ -158,7 +160,7 @@ def test_dense_matches_matmul_add_relu(relu):
     g[:, 4] = -0.0
 
     def chain(w, x, b):
-        h = ref.add(ad.matmul(w, x), b)
+        h = ref.add(ref.matmul(w, x), b)
         return ref.relu(h) if relu else h
 
     got = _layer_grads(lambda w, x, b: ad.dense(w, x, b, relu=relu), arrays, g)
@@ -589,8 +591,30 @@ def test_decode_matches_the_per_task_readout(dim_y, n_tasks):
         assert_bits_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", ["eq", "lotka-volterra"])
+def test_cnp_pool_stays_within_1e_12_of_the_matmul_chain(kind):
+    """``pool`` against the averaging and spread matmuls it replaced, on eight
+    tasks with an empty context: predictions, each task's log densities, the loss
+    and every leaf gradient.  The sums round differently, so this is not bit for bit."""
+    dim_y = 2 if kind == "lotka-volterra" else 1
+    model = CNPBaseline(dim_y=dim_y, init_seed=1)
+    tasks = _tasks(kind, 8)
+    ys = [t.target_y for t in tasks]
+    results = []
+    for staged in (True, False):
+        leaves = model.params.leaves()
+        pred = (model.forward_many(tasks, leaves=leaves) if staged
+                else ref.joined(ref.cnp_forward_many_matmul(model, tasks, leaves)))
+        loss = batch_nll(pred, ys)
+        ad.backward(loss)
+        lps = [lp for _, lp in models.task_log_densities(pred, ys)]
+        results.append([pred.out.value, *lps, loss.value, *(leaf.grad for leaf in leaves.values())])
+    for a, b in zip(*results, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 _TAPE_NODES = {"convcnp-small-eq": 18, "convcnp-small-lv": 18, "convcnp-xl-sawtooth": 47,
-               "cnp": 27}
+               "cnp": 22}
 
 
 @pytest.mark.parametrize("case", _OFF_GRID)
